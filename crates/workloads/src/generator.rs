@@ -12,9 +12,6 @@
 //! histogram plus the rate are precisely the statistics MOAT's behaviour
 //! depends on (see DESIGN.md, substitution table).
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-
 use moat_dram::{BankId, DramConfig, Nanos, RowId};
 use moat_sim::{Request, RequestStream, DEFAULT_CHUNK};
 use rand::rngs::StdRng;
@@ -27,7 +24,11 @@ use crate::profiles::WorkloadProfile;
 /// stand-ins for fresh generation, so **bump this whenever a change to
 /// this module alters the emitted sequence** — otherwise warm caches
 /// (developer checkouts, the persisted CI cache) would silently replay
-/// the pre-change streams.
+/// the pre-change streams. The unit test
+/// `emitted_streams_match_pinned_digests` pins digests of a few emitted
+/// streams to this version: a change that keeps it green (a faster
+/// queue, say) keeps the version; one that breaks it bumps the version
+/// and the digests together.
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Aggregate instruction rate of the paper's 8-core 4 GHz system at an
@@ -74,11 +75,102 @@ impl GeneratorConfig {
 /// One scheduled burst of activations to a single row.
 #[derive(Debug, Clone, Copy)]
 struct Campaign {
-    bank: u16,
-    row: u32,
-    remaining: u32,
+    /// Time of the campaign's next activation.
+    time: u64,
     /// Nanoseconds between consecutive activations of this campaign.
     interval: u64,
+    /// Planning order: breaks ties between campaigns due at one instant.
+    index: u32,
+    row: u32,
+    remaining: u32,
+    bank: u16,
+}
+
+impl Campaign {
+    /// The queue key: `time` above `index`, so keys order like
+    /// `(time, index)` pairs.
+    fn key(&self) -> u128 {
+        u128::from(self.time) << 32 | u128::from(self.index)
+    }
+}
+
+/// One bucket per bit of a 96-bit [`Campaign::key`], plus bucket 0 for
+/// keys equal to the last one popped.
+const BUCKETS: usize = 97;
+
+/// The largest buffer, in campaigns (32 KiB), a drained bucket keeps for
+/// reuse. Low buckets drain on nearly every pop and must not reallocate
+/// each time; a high bucket drains rarely, and keeping its buffer would
+/// hold memory the stream may never need again.
+const KEPT_CAPACITY: usize = 1024;
+
+/// A monotone radix heap of campaigns. It pops in ascending
+/// `(time, index)` order — the order a `BinaryHeap<Reverse<(time,
+/// index)>>` pops — as long as no push precedes the last pop, which holds
+/// here: a campaign is re-pushed at `time + interval`.
+///
+/// Bucket `b > 0` holds the keys whose highest bit differing from the
+/// last popped key is bit `b - 1`. A pop takes the minimum of the lowest
+/// non-empty bucket and re-buckets the rest of it against that minimum,
+/// which sends every one of them to a lower bucket. Each campaign carries
+/// its own state, so emission touches no other array.
+#[derive(Debug)]
+struct CampaignQueue {
+    buckets: [Vec<Campaign>; BUCKETS],
+    /// Bit `b` is set when `buckets[b]` is non-empty.
+    occupied: u128,
+    /// The last popped key (0 before the first pop).
+    last: u128,
+}
+
+impl CampaignQueue {
+    fn new() -> Self {
+        CampaignQueue {
+            buckets: std::array::from_fn(|_| Vec::new()),
+            occupied: 0,
+            last: 0,
+        }
+    }
+
+    /// Queues `campaign`, whose key must not precede the last popped one.
+    fn push(&mut self, campaign: Campaign) {
+        let key = campaign.key();
+        debug_assert!(key >= self.last, "radix-heap push below the last pop");
+        let b = (u128::BITS - (key ^ self.last).leading_zeros()) as usize;
+        self.buckets[b].push(campaign);
+        self.occupied |= 1 << b;
+    }
+
+    /// Removes the campaign with the least `(time, index)`.
+    fn pop(&mut self) -> Option<Campaign> {
+        if self.occupied == 0 {
+            return None;
+        }
+        let b = self.occupied.trailing_zeros() as usize;
+        if b == 0 {
+            let campaign = self.buckets[0].pop();
+            if self.buckets[0].is_empty() {
+                self.occupied &= !1;
+            }
+            return campaign;
+        }
+        let mut rest = std::mem::take(&mut self.buckets[b]);
+        self.occupied &= !(1 << b);
+        let (at, _) = rest
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, c)| c.key())
+            .expect("an occupied bucket is non-empty");
+        let campaign = rest.swap_remove(at);
+        self.last = campaign.key();
+        for c in rest.drain(..) {
+            self.push(c);
+        }
+        if rest.capacity() <= KEPT_CAPACITY {
+            self.buckets[b] = rest;
+        }
+        Some(campaign)
+    }
 }
 
 /// The merged, time-ordered activation stream for one workload.
@@ -100,22 +192,27 @@ struct Campaign {
 /// ```
 #[derive(Debug)]
 pub struct WorkloadStream {
-    /// (next activation time, sequence breaker, campaign index).
-    heap: BinaryHeap<Reverse<(u64, u32)>>,
-    campaigns: Vec<Campaign>,
+    queue: CampaignQueue,
     last_time: u64,
     total_emitted: u64,
 }
 
 impl WorkloadStream {
     /// Builds the stream for `profile` over the given DRAM organization.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the profile and `rows_per_bank`, if one
+    /// bank-window's campaigns need more distinct rows than
+    /// `dram.rows_per_bank` provides (rows are sampled without
+    /// replacement within a bank-window).
     pub fn new(profile: &WorkloadProfile, dram: &DramConfig, config: GeneratorConfig) -> Self {
         let mut rng = StdRng::seed_from_u64(config.seed ^ hash_name(profile.name));
         let trefw_ns = dram.timing.t_refw.as_u64();
         let budget = Self::acts_per_bank_per_window(profile, dram);
 
-        let mut campaigns = Vec::new();
-        let mut heap = BinaryHeap::new();
+        let mut queue = CampaignQueue::new();
+        let mut planned = 0;
         for window in 0..config.windows {
             let window_start = u64::from(window) * trefw_ns;
             for bank in 0..config.banks {
@@ -127,14 +224,13 @@ impl WorkloadStream {
                     window_start,
                     trefw_ns,
                     &mut rng,
-                    &mut campaigns,
-                    &mut heap,
+                    &mut queue,
+                    &mut planned,
                 );
             }
         }
         WorkloadStream {
-            heap,
-            campaigns,
+            queue,
             last_time: 0,
             total_emitted: 0,
         }
@@ -164,20 +260,40 @@ impl WorkloadStream {
         window_start: u64,
         trefw_ns: u64,
         rng: &mut StdRng,
-        campaigns: &mut Vec<Campaign>,
-        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
+        queue: &mut CampaignQueue,
+        planned: &mut u32,
     ) {
         let rows = dram.rows_per_bank;
         let mut spent: u64 = 0;
         // Rows are sampled without replacement within a bank-window:
         // duplicate campaigns would silently push rows across the
         // 32/64/128 bucket lines and distort the Table 4 histogram.
+        // Checked before drawing, so every valid configuration draws the
+        // same numbers as without the check.
         let mut used = std::collections::HashSet::new();
-        let mut sample_row = move |rng: &mut StdRng| loop {
-            let r = rng.random_range(0..rows);
-            if used.insert(r) {
-                return r;
+        let mut sample_row = move |rng: &mut StdRng| {
+            assert!(
+                used.len() < rows as usize,
+                "{} needs more distinct rows per bank-window than rows_per_bank = {rows}",
+                profile.name
+            );
+            loop {
+                let r = rng.random_range(0..rows);
+                if used.insert(r) {
+                    return r;
+                }
             }
+        };
+        let mut schedule = |time: u64, row: u32, remaining: u32, interval: u64| {
+            queue.push(Campaign {
+                time,
+                interval,
+                index: *planned,
+                row,
+                remaining,
+                bank,
+            });
+            *planned += 1;
         };
 
         // Hot rows: (bucket count, min acts, max extra).
@@ -202,16 +318,11 @@ impl WorkloadStream {
                 let duration = (trefw_ns as f64 * frac) as u64;
                 let start =
                     window_start + rng.random_range(0..trefw_ns.saturating_sub(duration).max(1));
-                Self::push_campaign(
-                    campaigns,
-                    heap,
-                    Campaign {
-                        bank,
-                        row: sample_row(rng),
-                        remaining: acts,
-                        interval: (duration / u64::from(acts)).max(52),
-                    },
+                schedule(
                     start,
+                    sample_row(rng),
+                    acts,
+                    (duration / u64::from(acts)).max(52),
                 );
             }
         }
@@ -225,29 +336,8 @@ impl WorkloadStream {
                 .max(1);
             spent += u64::from(acts);
             let start = window_start + rng.random_range(0..trefw_ns);
-            Self::push_campaign(
-                campaigns,
-                heap,
-                Campaign {
-                    bank,
-                    row: sample_row(rng),
-                    remaining: acts,
-                    interval: trefw_ns / u64::from(acts) / 4,
-                },
-                start,
-            );
+            schedule(start, sample_row(rng), acts, trefw_ns / u64::from(acts) / 4);
         }
-    }
-
-    fn push_campaign(
-        campaigns: &mut Vec<Campaign>,
-        heap: &mut BinaryHeap<Reverse<(u64, u32)>>,
-        campaign: Campaign,
-        start: u64,
-    ) {
-        let idx = campaigns.len() as u32;
-        campaigns.push(campaign);
-        heap.push(Reverse((start, idx)));
     }
 
     /// Total requests emitted so far.
@@ -256,26 +346,33 @@ impl WorkloadStream {
     }
 }
 
+/// Emits the earliest due activation, timed from `last_time`, and
+/// re-queues its campaign's next one.
+#[inline]
+fn emit(queue: &mut CampaignQueue, last_time: &mut u64) -> Option<Request> {
+    let mut c = queue.pop()?;
+    let request = Request {
+        gap: Nanos::new(c.time.saturating_sub(*last_time)),
+        bank: BankId::new(c.bank),
+        row: RowId::new(c.row),
+    };
+    *last_time = c.time;
+    c.remaining -= 1;
+    if c.remaining > 0 {
+        c.time += c.interval;
+        queue.push(c);
+    }
+    Some(request)
+}
+
 impl RequestStream for WorkloadStream {
     fn next_request(&mut self) -> Option<Request> {
-        let Reverse((t, idx)) = self.heap.pop()?;
-        let c = &mut self.campaigns[idx as usize];
-        let request = Request {
-            gap: Nanos::new(t.saturating_sub(self.last_time)),
-            bank: BankId::new(c.bank),
-            row: RowId::new(c.row),
-        };
-        self.last_time = t;
+        let request = emit(&mut self.queue, &mut self.last_time)?;
         self.total_emitted += 1;
-        c.remaining -= 1;
-        if c.remaining > 0 {
-            let interval = c.interval;
-            self.heap.push(Reverse((t + interval, idx)));
-        }
         Some(request)
     }
 
-    /// Batched generation: one merged pass over the campaign heap per
+    /// Batched generation: one merged pass over the campaign queue per
     /// chunk, with the arrival clock and emission counter held in locals
     /// instead of being written back through `&mut self` per request.
     /// Yields exactly the sequence repeated
@@ -289,20 +386,10 @@ impl RequestStream for WorkloadStream {
         let cap = buf.capacity();
         let mut last_time = self.last_time;
         while buf.len() < cap {
-            let Some(Reverse((t, idx))) = self.heap.pop() else {
+            let Some(request) = emit(&mut self.queue, &mut last_time) else {
                 break;
             };
-            let c = &mut self.campaigns[idx as usize];
-            buf.push(Request {
-                gap: Nanos::new(t.saturating_sub(last_time)),
-                bank: BankId::new(c.bank),
-                row: RowId::new(c.row),
-            });
-            last_time = t;
-            c.remaining -= 1;
-            if c.remaining > 0 {
-                self.heap.push(Reverse((t + c.interval, idx)));
-            }
+            buf.push(request);
         }
         self.last_time = last_time;
         self.total_emitted += buf.len() as u64;
@@ -379,6 +466,153 @@ impl HistogramCheck {
 mod tests {
     use super::*;
     use moat_dram::DramConfig;
+    use proptest::prelude::*;
+    use std::cmp::Reverse;
+    use std::collections::BinaryHeap;
+
+    /// FNV-1a over every emitted `(gap, bank, row)`, and the request count.
+    fn stream_digest(profile: &str, dram: &DramConfig, config: GeneratorConfig) -> (u64, u64) {
+        let profile = WorkloadProfile::by_name(profile).unwrap();
+        let mut stream = WorkloadStream::new(profile, dram, config);
+        let (mut n, mut h) = (0u64, 0xcbf2_9ce4_8422_2325u64);
+        while let Some(r) = stream.next_request() {
+            let bytes = r.gap.as_u64().to_le_bytes().into_iter();
+            let bytes = bytes.chain(r.bank.index().to_le_bytes());
+            for b in bytes.chain(r.row.index().to_le_bytes()) {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+            n += 1;
+        }
+        (n, h)
+    }
+
+    /// Trace caches key recorded streams by [`GENERATOR_VERSION`], so an
+    /// emission change that keeps the version would replay stale
+    /// recordings. These digests pin version 1's streams.
+    #[test]
+    fn emitted_streams_match_pinned_digests() {
+        const PINNED_VERSION: u32 = 1;
+        let paper = DramConfig::paper_baseline();
+        let small = DramConfig::builder().rows_per_bank(16_384).build();
+        let pinned = [
+            ("gcc", paper, 1, 1, 3, 24_854, 0x4786_8003_6d4d_0f5c),
+            ("roms", paper, 2, 2, 7, 733_792, 0xe198_d473_c83a_d233),
+            (
+                "cactuBSSN",
+                small,
+                1,
+                1,
+                0xA0A7,
+                274_139,
+                0xa997_8536_bff5_68b0,
+            ),
+            ("x264", paper, 2, 2, 1, 62_381, 0xcaf8_0e0a_af66_45ad),
+        ];
+        assert_eq!(
+            GENERATOR_VERSION, PINNED_VERSION,
+            "GENERATOR_VERSION changed: re-pin these digests to the new version's streams"
+        );
+        for (name, dram, banks, windows, seed, count, digest) in pinned {
+            let config = GeneratorConfig {
+                banks,
+                windows,
+                seed,
+            };
+            assert_eq!(
+                stream_digest(name, &dram, config),
+                (count, digest),
+                "{name} {config:?}: the emitted stream changed. If that is intended, bump \
+                 GENERATOR_VERSION and these digests together, or warm trace caches \
+                 replay the old streams"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "cactuBSSN needs more distinct rows per bank-window than rows_per_bank = 4096"
+    )]
+    fn too_few_rows_per_bank_panics() {
+        let profile = WorkloadProfile::by_name("cactuBSSN").unwrap();
+        let dram = DramConfig::builder().rows_per_bank(4096).build();
+        let cfg = GeneratorConfig {
+            banks: 1,
+            windows: 1,
+            seed: 1,
+        };
+        WorkloadStream::new(profile, &dram, cfg);
+    }
+
+    fn push_both(
+        queue: &mut CampaignQueue,
+        reference: &mut BinaryHeap<Reverse<(u64, u32)>>,
+        time: u64,
+        index: u32,
+    ) {
+        queue.push(Campaign {
+            time,
+            interval: 0,
+            index,
+            row: index,
+            remaining: 1,
+            bank: 0,
+        });
+        reference.push(Reverse((time, index)));
+    }
+
+    /// `(time, index)` of a popped campaign, checking the payload came
+    /// along (`row` mirrors `index` here).
+    fn popped(c: Option<Campaign>) -> Option<(u64, u32)> {
+        c.map(|c| {
+            assert_eq!(c.row, c.index, "campaign state detached from its key");
+            (c.time, c.index)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random monotone push/pop interleavings pop from the radix heap
+        /// in exactly the reference `BinaryHeap<Reverse<(time, index)>>`
+        /// order: many campaigns at one instant (time `0` or `a << s`
+        /// with small `a`), zero intervals (`a == 0`), keys spread up to
+        /// bit 62 of the time, re-pushes after a pop, and new campaigns
+        /// queued mid-stream.
+        #[test]
+        fn queue_pops_in_binary_heap_order(
+            starts in prop::collection::vec((0u64..4, 0u32..62), 0..300),
+            ops in prop::collection::vec((0u8..3, 0u64..4, 0u32..40), 1..1500),
+        ) {
+            let mut queue = CampaignQueue::new();
+            let mut reference = BinaryHeap::new();
+            for (index, &(a, s)) in starts.iter().enumerate() {
+                push_both(&mut queue, &mut reference, a << s, index as u32);
+            }
+            let mut next_index = starts.len() as u32;
+            let mut last_time = 0;
+            for (kind, a, s) in ops {
+                if kind == 2 {
+                    // A new campaign, due no earlier than the last pop.
+                    push_both(&mut queue, &mut reference, last_time + (a << s), next_index);
+                    next_index += 1;
+                    continue;
+                }
+                let want = reference.pop().map(|Reverse(k)| k);
+                prop_assert_eq!(popped(queue.pop()), want);
+                if let Some((time, index)) = want {
+                    last_time = time;
+                    if kind == 0 {
+                        // Re-push after an interval of `a << s`.
+                        push_both(&mut queue, &mut reference, time + (a << s), index);
+                    }
+                }
+            }
+            while let Some(Reverse(want)) = reference.pop() {
+                prop_assert_eq!(popped(queue.pop()), Some(want));
+            }
+            prop_assert!(queue.pop().is_none());
+        }
+    }
 
     fn check(name: &str) -> (HistogramCheck, &'static WorkloadProfile) {
         let profile = WorkloadProfile::by_name(name).unwrap();

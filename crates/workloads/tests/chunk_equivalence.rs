@@ -28,19 +28,21 @@ fn drain_batched(mut s: WorkloadStream, cap: usize) -> (Vec<Request>, u64) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// For random profiles, seeds, bank counts, and chunk capacities the
-    /// batched stream yields the exact same `Request` sequence (and
-    /// emission count) as the per-request pull loop.
+    /// For random profiles, seeds, bank counts, window counts, and chunk
+    /// capacities the batched stream yields the exact same `Request`
+    /// sequence (and emission count) as the per-request pull loop. Two
+    /// windows queue second-window campaigns before the first emits.
     #[test]
     fn batched_stream_equals_per_request(
         profile_idx in 0usize..PROFILES.len(),
         seed in 0u64..1_000,
         banks in 1u16..3,
+        windows in 1u32..3,
         cap in 1usize..300,
     ) {
         let profile = &PROFILES[profile_idx];
         let dram = DramConfig::paper_baseline();
-        let cfg = GeneratorConfig { banks, windows: 1, seed };
+        let cfg = GeneratorConfig { banks, windows, seed };
         let (reference, ref_emitted) =
             drain_per_request(WorkloadStream::new(profile, &dram, cfg));
         let (batched, batched_emitted) =
