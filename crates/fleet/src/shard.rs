@@ -171,9 +171,15 @@ fn tenant_seed(fleet_seed: u64, tenant: u32) -> u64 {
     shard_seed(fleet_seed ^ 0x007E_4A47, tenant)
 }
 
-/// Materializes tenant `tenant`'s request quota. Panics if the fleet
-/// fault plan poisoned this stream — the caller catches it per-tenant.
-fn materialize_tenant(config: &FleetConfig, tenant: u32, poisoned: bool) -> Vec<Request> {
+/// Materializes tenant `tenant`'s request quota by re-planning `stream`
+/// for it. Panics if the fleet fault plan poisoned this stream — the
+/// caller catches it per-tenant.
+fn materialize_tenant(
+    config: &FleetConfig,
+    tenant: u32,
+    poisoned: bool,
+    stream: &mut WorkloadStream,
+) -> Vec<Request> {
     assert!(
         !poisoned,
         "poisoned tenant stream {tenant}: generator state corrupt"
@@ -181,7 +187,7 @@ fn materialize_tenant(config: &FleetConfig, tenant: u32, poisoned: bool) -> Vec<
     let seed = tenant_seed(config.seed, tenant);
     let profile = &PROFILES[(seed % PROFILES.len() as u64) as usize];
     let dram = SecurityConfig::paper_default().dram;
-    let mut stream = WorkloadStream::new(
+    stream.replan(
         profile,
         &dram,
         GeneratorConfig {
@@ -228,6 +234,30 @@ fn multiplex(tenant_requests: &[Vec<Request>], banks: u16) -> Vec<Request> {
     merged
 }
 
+/// Materializes every tenant's quota through one re-planned stream,
+/// catching a poisoned tenant (the one at position `poison_local`) so the
+/// shard serves the rest. Returns the survivors' requests in tenant order
+/// and the poisoned tenant ids.
+fn materialize_tenants(
+    config: &FleetConfig,
+    tenants: &[u32],
+    poison_local: Option<usize>,
+) -> (Vec<Vec<Request>>, Vec<u32>) {
+    let mut stream = WorkloadStream::default();
+    let mut poisoned = Vec::new();
+    let mut tenant_requests = Vec::with_capacity(tenants.len());
+    for (pos, &tenant) in tenants.iter().enumerate() {
+        let is_poisoned = poison_local == Some(pos);
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            materialize_tenant(config, tenant, is_poisoned, &mut stream)
+        })) {
+            Ok(requests) => tenant_requests.push(requests),
+            Err(_) => poisoned.push(tenant),
+        }
+    }
+    (tenant_requests, poisoned)
+}
+
 /// Runs one shard to completion and returns its report.
 ///
 /// Panics (deliberately) when the fault plan crashes this attempt; the
@@ -253,17 +283,7 @@ pub fn run_shard(
         .filter(|_| !tenants.is_empty())
         .map(|draw| (draw % tenants.len() as u64) as usize);
 
-    let mut poisoned = Vec::new();
-    let mut tenant_requests = Vec::with_capacity(tenants.len());
-    for (pos, &tenant) in tenants.iter().enumerate() {
-        let is_poisoned = poison_local == Some(pos);
-        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            materialize_tenant(config, tenant, is_poisoned)
-        })) {
-            Ok(requests) => tenant_requests.push(requests),
-            Err(_) => poisoned.push(tenant),
-        }
-    }
+    let (tenant_requests, poisoned) = materialize_tenants(config, &tenants, poison_local);
 
     let banks = config.topology.banks_per_rank;
     let merged = multiplex(&tenant_requests, banks);
@@ -502,6 +522,25 @@ mod tests {
         assert_eq!(a, b);
         assert!(a.perf_acts > 0);
         assert!(a.security_acts > 0);
+    }
+
+    #[test]
+    fn reused_stream_materializes_what_fresh_streams_do() {
+        let config = tiny_config();
+        let tenants = shard_tenants(&config, config.topology.shard(1));
+        assert!(tenants.len() >= 3);
+        // The third tenant re-plans the stream the first one left behind.
+        let (reused, poisoned) = materialize_tenants(&config, &tenants, Some(1));
+        assert_eq!(poisoned, [tenants[1]]);
+        let fresh: Vec<Vec<Request>> = tenants
+            .iter()
+            .filter(|t| !poisoned.contains(t))
+            .map(|&t| materialize_tenant(&config, t, false, &mut WorkloadStream::default()))
+            .collect();
+        assert!(
+            reused == fresh,
+            "re-planning one stream changed a tenant's requests"
+        );
     }
 
     #[test]

@@ -123,13 +123,25 @@ struct CampaignQueue {
     last: u128,
 }
 
-impl CampaignQueue {
-    fn new() -> Self {
+impl Default for CampaignQueue {
+    fn default() -> Self {
         CampaignQueue {
             buckets: std::array::from_fn(|_| Vec::new()),
             occupied: 0,
             last: 0,
         }
+    }
+}
+
+impl CampaignQueue {
+    /// Empties the queue for a fresh plan, keeping every bucket's buffer:
+    /// re-planning then refills memory the last plan already touched.
+    fn clear(&mut self) {
+        for bucket in &mut self.buckets {
+            bucket.clear();
+        }
+        self.occupied = 0;
+        self.last = 0;
     }
 
     /// Queues `campaign`, whose key must not precede the last popped one.
@@ -190,7 +202,10 @@ impl CampaignQueue {
 /// let first = stream.next_request().expect("non-empty stream");
 /// assert!(first.bank.index() < 2);
 /// ```
-#[derive(Debug)]
+///
+/// The `Default` stream emits nothing until [`replan`](Self::replan)
+/// plans it.
+#[derive(Debug, Default)]
 pub struct WorkloadStream {
     queue: CampaignQueue,
     last_time: u64,
@@ -207,11 +222,35 @@ impl WorkloadStream {
     /// `dram.rows_per_bank` provides (rows are sampled without
     /// replacement within a bank-window).
     pub fn new(profile: &WorkloadProfile, dram: &DramConfig, config: GeneratorConfig) -> Self {
+        let mut stream = WorkloadStream::default();
+        stream.replan(profile, dram, config);
+        stream
+    }
+
+    /// Discards whatever this stream still holds and plans it afresh,
+    /// exactly as [`new`](Self::new) would, reusing the campaign queue's
+    /// buffers. Callers that build many streams in turn (a fleet shard's
+    /// tenants) re-plan one stream instead of allocating each queue anew.
+    ///
+    /// # Panics
+    ///
+    /// As [`new`](Self::new). A stream left half-planned by that panic is
+    /// still safe to re-plan.
+    pub fn replan(
+        &mut self,
+        profile: &WorkloadProfile,
+        dram: &DramConfig,
+        config: GeneratorConfig,
+    ) {
+        self.queue.clear();
+        self.last_time = 0;
+        self.total_emitted = 0;
+
         let mut rng = StdRng::seed_from_u64(config.seed ^ hash_name(profile.name));
         let trefw_ns = dram.timing.t_refw.as_u64();
         let budget = Self::acts_per_bank_per_window(profile, dram);
-
-        let mut queue = CampaignQueue::new();
+        // One bit per row of a bank: the rows one bank-window has used.
+        let mut used = vec![0u64; dram.rows_per_bank.div_ceil(64) as usize];
         let mut planned = 0;
         for window in 0..config.windows {
             let window_start = u64::from(window) * trefw_ns;
@@ -224,15 +263,11 @@ impl WorkloadStream {
                     window_start,
                     trefw_ns,
                     &mut rng,
-                    &mut queue,
+                    &mut used,
+                    &mut self.queue,
                     &mut planned,
                 );
             }
-        }
-        WorkloadStream {
-            queue,
-            last_time: 0,
-            total_emitted: 0,
         }
     }
 
@@ -260,6 +295,7 @@ impl WorkloadStream {
         window_start: u64,
         trefw_ns: u64,
         rng: &mut StdRng,
+        used: &mut [u64],
         queue: &mut CampaignQueue,
         planned: &mut u32,
     ) {
@@ -267,19 +303,24 @@ impl WorkloadStream {
         let mut spent: u64 = 0;
         // Rows are sampled without replacement within a bank-window:
         // duplicate campaigns would silently push rows across the
-        // 32/64/128 bucket lines and distort the Table 4 histogram.
-        // Checked before drawing, so every valid configuration draws the
-        // same numbers as without the check.
-        let mut used = std::collections::HashSet::new();
+        // 32/64/128 bucket lines and distort the Table 4 histogram. A
+        // drawn row already in `used` is redrawn. Exhaustion is checked
+        // before drawing, so every valid configuration draws the same
+        // numbers as without the check.
+        used.fill(0);
+        let mut sampled: u32 = 0;
         let mut sample_row = move |rng: &mut StdRng| {
             assert!(
-                used.len() < rows as usize,
+                sampled < rows,
                 "{} needs more distinct rows per bank-window than rows_per_bank = {rows}",
                 profile.name
             );
             loop {
                 let r = rng.random_range(0..rows);
-                if used.insert(r) {
+                let (word, bit) = (&mut used[(r / 64) as usize], 1u64 << (r % 64));
+                if *word & bit == 0 {
+                    *word |= bit;
+                    sampled += 1;
                     return r;
                 }
             }
@@ -494,6 +535,9 @@ mod tests {
         const PINNED_VERSION: u32 = 1;
         let paper = DramConfig::paper_baseline();
         let small = DramConfig::builder().rows_per_bank(16_384).build();
+        // 1000 rows leave the row bitset's last word partial, and wrf fills
+        // ~57% of them per bank-window, so collisions force many redraws.
+        let partial_word = DramConfig::builder().rows_per_bank(1000).build();
         let pinned = [
             ("gcc", paper, 1, 1, 3, 24_854, 0x4786_8003_6d4d_0f5c),
             ("roms", paper, 2, 2, 7, 733_792, 0xe198_d473_c83a_d233),
@@ -507,6 +551,7 @@ mod tests {
                 0xa997_8536_bff5_68b0,
             ),
             ("x264", paper, 2, 2, 1, 62_381, 0xcaf8_0e0a_af66_45ad),
+            ("wrf", partial_word, 2, 2, 5, 109_545, 0x85bd_ed1d_8361_295f),
         ];
         assert_eq!(
             GENERATOR_VERSION, PINNED_VERSION,
@@ -524,6 +569,65 @@ mod tests {
                 "{name} {config:?}: the emitted stream changed. If that is intended, bump \
                  GENERATOR_VERSION and these digests together, or warm trace caches \
                  replay the old streams"
+            );
+        }
+    }
+
+    /// Every remaining request of `stream`.
+    fn drain(stream: &mut WorkloadStream) -> Vec<Request> {
+        std::iter::from_fn(|| stream.next_request()).collect()
+    }
+
+    /// Re-planning a stream in any state emits, request by request, what
+    /// a fresh stream emits: no campaign, clock or count of the old plan
+    /// survives.
+    #[test]
+    fn replan_matches_new_from_any_state() {
+        let paper = DramConfig::paper_baseline();
+        let profile = |name| WorkloadProfile::by_name(name).unwrap();
+        let config = GeneratorConfig {
+            banks: 1,
+            windows: 1,
+            seed: 3,
+        };
+        let expected = drain(&mut WorkloadStream::new(profile("gcc"), &paper, config));
+
+        let other = GeneratorConfig {
+            banks: 2,
+            windows: 2,
+            seed: 1,
+        };
+        let mut partly_drained = WorkloadStream::new(profile("x264"), &paper, other);
+        for _ in 0..1000 {
+            partly_drained
+                .next_request()
+                .expect("x264 emits 62k requests");
+        }
+        let mut drained = WorkloadStream::new(profile("gcc"), &paper, config);
+        drain(&mut drained);
+        let mut half_planned = WorkloadStream::default();
+        let too_few_rows = DramConfig::builder().rows_per_bank(4096).build();
+        let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            half_planned.replan(profile("cactuBSSN"), &too_few_rows, config)
+        }));
+        assert!(panic.is_err(), "cactuBSSN needs more than 4096 rows");
+        assert_ne!(
+            half_planned.queue.occupied, 0,
+            "the panic left campaigns queued"
+        );
+
+        let cases = [
+            ("default", WorkloadStream::default()),
+            ("partly drained x264", partly_drained),
+            ("fully drained", drained),
+            ("half-planned", half_planned),
+        ];
+        for (case, mut stream) in cases {
+            stream.replan(profile("gcc"), &paper, config);
+            assert_eq!(stream.emitted(), 0, "{case}: emission count survived");
+            assert!(
+                drain(&mut stream) == expected,
+                "{case}: re-planned stream differs"
             );
         }
     }
@@ -583,7 +687,7 @@ mod tests {
             starts in prop::collection::vec((0u64..4, 0u32..62), 0..300),
             ops in prop::collection::vec((0u8..3, 0u64..4, 0u32..40), 1..1500),
         ) {
-            let mut queue = CampaignQueue::new();
+            let mut queue = CampaignQueue::default();
             let mut reference = BinaryHeap::new();
             for (index, &(a, s)) in starts.iter().enumerate() {
                 push_both(&mut queue, &mut reference, a << s, index as u32);
