@@ -172,7 +172,7 @@ impl Attacker for JailbreakAttacker {
 /// the interval, re-observing the Panopticon queue only at drain points
 /// (REF/RFM horizons). Both phases are engine-aware: they model their own
 /// threshold crossings against the snapshot's queue occupancy (see
-/// [`push_panopticon_capped`]), so runs extend past the engine's
+/// `push_panopticon_capped`), so runs extend past the engine's
 /// conservative `alert_safe` tier — the hammer keeps the queue
 /// permanently full, where that tier is a single slot — and end exactly
 /// at any ACT that could overflow it. Bit-identical to the per-step

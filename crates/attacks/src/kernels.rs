@@ -102,8 +102,9 @@ impl RequestStream for KernelStream {
     }
 }
 
-/// A kernel is also a script for the batched security simulator
-/// ([`SecuritySim::run_batched`](moat_sim::SecuritySim::run_batched)):
+/// A kernel is also a script for the security simulator's event-horizon
+/// loop
+/// ([`SecuritySim::run_semi_scripted`](moat_sim::SecuritySim::run_semi_scripted)):
 /// the pattern's rows are handed out run-by-run. The security simulator
 /// models a single bank, so the pattern's bank ids are ignored here — a
 /// multi-bank kernel collapses onto the one bank under attack.
@@ -245,7 +246,7 @@ mod tests {
 
     #[test]
     fn kernel_scripts_run_batched_like_per_step() {
-        // A kernel driven through the batched security fast path is
+        // A kernel driven through the event-horizon security loop is
         // bit-identical to the same kernel stepped per-slot through the
         // adaptive reference — the multi-row Fig. 13(b) shape, which
         // exercises REF straddles, ALERT episodes, and script exhaustion.
@@ -260,7 +261,7 @@ mod tests {
         let rows = [30_000u32, 30_006, 30_012];
         let script = || multi_row_stream(4_000, 0, &rows);
         let expect = mk().run(&mut Scripted::new(script()), Nanos::from_millis(2));
-        let got = mk().run_batched(&mut script(), Nanos::from_millis(2));
+        let got = mk().run_semi_scripted(&mut script(), Nanos::from_millis(2));
         assert_eq!(got, expect);
         assert!(expect.alerts > 0, "must exercise episodes");
     }

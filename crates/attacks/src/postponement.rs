@@ -134,7 +134,7 @@ impl Attacker for PostponementAttacker {
 /// next decision reads) and hammers in whole grants while the attack row
 /// sits in the queue — queue drains only happen at REF/RFM events, so
 /// the drained check is constant across a grant. Hammer runs are
-/// engine-aware via [`push_panopticon_capped_single`]: they model the
+/// engine-aware via `push_panopticon_capped_single`: they model the
 /// attack row's crossings of the *engine's* queueing threshold (which
 /// may differ from the attacker's parameter) in closed form and end
 /// exactly at any ACT that could overflow the queue.

@@ -214,7 +214,7 @@ impl Attacker for RatchetAttacker {
 
 /// The semi-scripted form: each phase publishes a whole run keyed off the
 /// snapshot's ledger/counter state, modeling its own counter increments
-/// through a [`GrantLog`] so the repair → prime → grow cascade and the
+/// through a `GrantLog` so the repair → prime → grow cascade and the
 /// min-count ratcheting heap vectorize without drifting from the
 /// per-step reference. Mitigations, counter resets, and refresh-pointer
 /// movement only happen at REF/RFM events — grant boundaries — so one

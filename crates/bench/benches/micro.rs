@@ -279,7 +279,7 @@ fn bench_security_step(c: &mut Criterion) {
                 SecurityConfig::paper_default(),
                 MoatEngine::new(MoatConfig::paper_default()),
             );
-            sim.run_batched(&mut hammer_attacker(30_000), DURATION)
+            sim.run_semi_scripted(&mut hammer_attacker(30_000), DURATION)
         });
     });
 

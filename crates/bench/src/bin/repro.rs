@@ -39,9 +39,9 @@
 //!   repro trace record [profile ...] [--full]
 //!                               record workload streams into the binary
 //!                               trace cache (see `moat-trace`)
-//!   repro trace info|verify <file>
+//!   repro trace info|verify `<file>`
 //!                               inspect / fully validate a v2 trace
-//!   repro trace convert <in> <out>
+//!   repro trace convert `<in>` `<out>`
 //!                               convert text v1 <-> binary v2 traces
 //!   repro ... --telemetry       append deterministic telemetry after
 //!                               the canonical output (`all`, `faults
@@ -54,7 +54,7 @@
 //!   repro --json [names...]     also write BENCH_perf.json (ACTs/sec,
 //!                               sweep wall time, mono-vs-boxed speedup,
 //!                               per-phase simulated-time profiles)
-//!   repro --json --baseline <file>
+//!   repro --json --baseline `<file>`
 //!                               perf smoke: additionally compare against
 //!                               a committed BENCH_perf.json and exit
 //!                               non-zero if uniform_mono_acts_per_sec,

@@ -19,7 +19,10 @@
 
 use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
-use moat_sim::{hammer_attacker, round_robin_attacker, SecurityConfig, SecuritySim};
+use moat_sim::{
+    hammer_attacker, round_robin_attacker, GuardHook, Hooks, SecurityConfig, SecurityReport,
+    SecuritySim,
+};
 use moat_trackers::registry;
 
 use moat_telemetry::{MetricsRegistry, TelemetryLevel};
@@ -28,8 +31,9 @@ use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
 use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 
 /// Virtual time each cell simulates (per-boundary fault rates make the
-/// injected-fault count proportional to this).
-const CELL_DURATION: Nanos = Nanos::from_millis(4);
+/// injected-fault count proportional to this). `repro recover sweep`
+/// uses it too, so its unguarded rung reproduces this table.
+pub(crate) const CELL_DURATION: Nanos = Nanos::from_millis(4);
 
 /// The SEU-rate ladder: label shown in the table, probability used.
 /// Labels are fixed strings so the table renders identically on every
@@ -74,24 +78,36 @@ fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
     registry::build(name).unwrap_or_else(|| unreachable!("unknown engine {name}"))
 }
 
-/// Runs one cell: a batched security simulation with the cell's fault
-/// plan armed. Returns the report's max pressure plus the injector's
+/// Runs a fault or recovery cell's named attack for [`CELL_DURATION`]
+/// under `hooks`.
+pub(crate) fn attack<G: GuardHook>(
+    sim: &mut SecuritySim,
+    name: &str,
+    hooks: Hooks<&mut FaultInjector, G>,
+) -> SecurityReport {
+    match name {
+        "hammer" => sim.run_semi_scripted_with(&mut hammer_attacker(5), CELL_DURATION, hooks),
+        "round-robin" => sim.run_semi_scripted_with(
+            &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
+            CELL_DURATION,
+            hooks,
+        ),
+        other => unreachable!("unknown attack {other}"),
+    }
+}
+
+/// Runs one cell: an event-horizon security simulation with the cell's
+/// fault plan armed. Returns the report's max pressure plus the injector's
 /// stats, and the activation count for the sweep statistics.
 fn run_cell(cell: FaultCell) -> ((u32, u64, FaultStats), u64) {
     let config = SecurityConfig::paper_default();
     let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
     let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
-    let report = match cell.attack {
-        "hammer" => {
-            sim.run_batched_with_faults(&mut hammer_attacker(5), CELL_DURATION, &mut injector)
-        }
-        "round-robin" => sim.run_batched_with_faults(
-            &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
-            CELL_DURATION,
-            &mut injector,
-        ),
-        other => unreachable!("unknown attack {other}"),
-    };
+    let report = attack(
+        &mut sim,
+        cell.attack,
+        Hooks::default().faults(&mut injector),
+    );
     (
         (report.max_pressure, report.total_acts, injector.stats()),
         report.total_acts,

@@ -10,8 +10,8 @@ use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{AboLevel, BankId, DramConfig, MitigationEngine, Nanos, RowId};
 use moat_fleet::{FleetConfig, FleetSupervisor, FleetTopology};
 use moat_sim::{
-    hammer_attacker, Attacker, NoFaults, NoGuard, PerfConfig, PerfSim, Request, RequestStream,
-    Scripted, SecurityConfig, SecuritySim, SemiScriptedAttacker, SlotBudget, DEFAULT_CHUNK,
+    hammer_attacker, Attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, Scripted,
+    SecurityConfig, SecuritySim, SemiScriptedAttacker, SlotBudget, DEFAULT_CHUNK,
 };
 use moat_telemetry::{PhaseProfile, SimPhase, TelemetryLevel, Tracer};
 use moat_trace::{Fingerprint, TraceCache, TraceKey};
@@ -37,10 +37,6 @@ pub struct HotPathResult {
     pub mono_acts_per_sec: f64,
     /// Simulated ACTs per host second on `PerfSim<Box<dyn MitigationEngine>>`.
     pub boxed_acts_per_sec: f64,
-    /// Simulated ACTs per host second on the seed's loop structure
-    /// (boxed engines, per-ACT all-bank alert scan, per-retry deadline
-    /// re-reads) — the "before" of the optimization work.
-    pub legacy_acts_per_sec: f64,
     /// Requests simulated per run.
     pub acts: u64,
 }
@@ -50,21 +46,17 @@ impl HotPathResult {
     pub fn speedup(&self) -> f64 {
         self.mono_acts_per_sec / self.boxed_acts_per_sec.max(1e-9)
     }
-
-    /// Monomorphized over the seed loop (the headline before/after).
-    pub fn speedup_vs_legacy(&self) -> f64 {
-        self.mono_acts_per_sec / self.legacy_acts_per_sec.max(1e-9)
-    }
 }
 
 /// Throughput of the security simulator on a scripted attack, per-step
-/// versus the event-horizon batched path.
+/// versus the event-horizon loop.
 #[derive(Debug, Clone, Copy)]
 pub struct SecurityPathResult {
     /// Simulated ACTs per host second through the per-step reference
     /// (`SecuritySim::run` over the `Scripted` adapter).
     pub step_acts_per_sec: f64,
-    /// Simulated ACTs per host second through `SecuritySim::run_batched`.
+    /// Simulated ACTs per host second through the event-horizon loop
+    /// (`SecuritySim::run_semi_scripted`).
     pub batched_acts_per_sec: f64,
     /// Attacker activations simulated per run.
     pub acts: u64,
@@ -200,8 +192,8 @@ pub struct PerfBenchReport {
     pub threads: usize,
     /// Sweep cells measured.
     pub cells: usize,
-    /// Deterministic per-phase simulated-time profiles for the
-    /// engine-heavy security cells (see [`measure_profiles`]).
+    /// Deterministic per-phase simulated-time profiles of the Feinting
+    /// and Ratchet security cells (see `measure_profiles`).
     pub profiles: Vec<CellPhaseProfile>,
 }
 
@@ -226,12 +218,8 @@ impl PerfBenchReport {
             "{{\n{profile_fields}  \
              \"uniform_mono_acts_per_sec\": {:.0},\n  \
              \"uniform_boxed_acts_per_sec\": {:.0},\n  \
-             \"uniform_legacy_acts_per_sec\": {:.0},\n  \
-             \"uniform_speedup_vs_legacy\": {:.3},\n  \
              \"hammer_mono_acts_per_sec\": {:.0},\n  \
              \"hammer_boxed_acts_per_sec\": {:.0},\n  \
-             \"hammer_legacy_acts_per_sec\": {:.0},\n  \
-             \"hammer_speedup_vs_legacy\": {:.3},\n  \
              \"security_step_acts_per_sec\": {:.0},\n  \
              \"security_batched_acts_per_sec\": {:.0},\n  \
              \"security_batched_speedup\": {:.3},\n  \
@@ -253,12 +241,8 @@ impl PerfBenchReport {
              \"threads\": {}\n}}\n",
             self.uniform.mono_acts_per_sec,
             self.uniform.boxed_acts_per_sec,
-            self.uniform.legacy_acts_per_sec,
-            self.uniform.speedup_vs_legacy(),
             self.hammer.mono_acts_per_sec,
             self.hammer.boxed_acts_per_sec,
-            self.hammer.legacy_acts_per_sec,
-            self.hammer.speedup_vs_legacy(),
             self.security.step_acts_per_sec,
             self.security.batched_acts_per_sec,
             self.security.speedup(),
@@ -401,8 +385,8 @@ impl PerfBenchReport {
     pub fn summary(&self) -> String {
         let mut out = format!(
             "Simulator performance\n  \
-             uniform 32-bank stream : {:>6.1} M ACTs/s mono, {:>6.1} M boxed, {:>6.1} M seed loop ({:.2}x vs seed)\n  \
-             single-row hammer      : {:>6.1} M ACTs/s mono, {:>6.1} M boxed, {:>6.1} M seed loop ({:.2}x vs seed)\n  \
+             uniform 32-bank stream : {:>6.1} M ACTs/s mono, {:>6.1} M boxed\n  \
+             single-row hammer      : {:>6.1} M ACTs/s mono, {:>6.1} M boxed\n  \
              security hammer sim    : {:>6.1} M ACTs/s batched, {:>6.1} M per-step ({:.2}x)\n  \
              adaptive attack suite  : {:>6.1} M ACTs/s semi-scripted, {:>6.1} M per-step ({:.2}x)\n  \
              trace store            : {:>6.1} M req/s raw mmap replay, {:.1} M ACTs/s paper-scale sweep ({} cells)\n  \
@@ -411,12 +395,8 @@ impl PerfBenchReport {
              sweep ({} cells)       : serial {:.2}s, parallel {:.2}s ({:.2}x on {} threads), {:.1} M ACTs/s\n",
             self.uniform.mono_acts_per_sec / 1e6,
             self.uniform.boxed_acts_per_sec / 1e6,
-            self.uniform.legacy_acts_per_sec / 1e6,
-            self.uniform.speedup_vs_legacy(),
             self.hammer.mono_acts_per_sec / 1e6,
             self.hammer.boxed_acts_per_sec / 1e6,
-            self.hammer.legacy_acts_per_sec / 1e6,
-            self.hammer.speedup_vs_legacy(),
             self.security.batched_acts_per_sec / 1e6,
             self.security.step_acts_per_sec / 1e6,
             self.security.speedup(),
@@ -460,364 +440,6 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
         .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == '+' || c == 'e'))
         .unwrap_or(rest.len());
     rest[..end].parse().ok()
-}
-
-/// A faithful reconstruction of the seed's per-ACT pipeline, kept as the
-/// "before" of the optimization work so `BENCH_perf.json` tracks a
-/// stable speedup. Everything the tentpole changed is reproduced here in
-/// its original form:
-///
-/// * engines behind `Box<dyn MitigationEngine>` with the seed
-///   `MoatEngine`'s multi-scan update (separate find, min, and
-///   alert-flag passes, CTA located lazily with `max_by_key`),
-/// * the seed `SecurityLedger::on_activate` built on the filtered
-///   `RowId::victims` iterator,
-/// * the REF deadline and bank-ready time re-read on every retry
-///   iteration of the issue loop,
-/// * and — the dominant cost at 32 banks — a full `alert_pending` scan
-///   over every bank after every single ACT.
-mod legacy {
-    use core::any::Any;
-    use core::ops::Range;
-    use moat_core::MoatConfig;
-    use moat_dram::{
-        AboPhase, AboProtocol, ActCount, Bank, DramConfig, MitigationEngine, Nanos,
-        RefMitigationMode, RefreshEngine, RowId,
-    };
-    use moat_sim::{PerfConfig, RequestStream, SlotBudget};
-
-    /// The seed's MOAT-L1 engine: multi-scan precharge update.
-    #[derive(Debug)]
-    pub struct MultiScanMoat {
-        config: MoatConfig,
-        tracker: Vec<(RowId, u32)>,
-        alert_pending: bool,
-    }
-
-    impl MultiScanMoat {
-        pub fn new(config: MoatConfig) -> Self {
-            MultiScanMoat {
-                config,
-                tracker: Vec::with_capacity(config.tracker_entries()),
-                alert_pending: false,
-            }
-        }
-
-        fn refresh_alert_flag(&mut self) {
-            self.alert_pending = self.tracker.iter().any(|e| e.1 > self.config.ath);
-        }
-
-        fn take_max(&mut self) -> Option<RowId> {
-            let idx = self
-                .tracker
-                .iter()
-                .enumerate()
-                .max_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)?;
-            let entry = self.tracker.swap_remove(idx);
-            self.refresh_alert_flag();
-            Some(entry.0)
-        }
-    }
-
-    impl MitigationEngine for MultiScanMoat {
-        fn name(&self) -> &str {
-            "legacy-moat"
-        }
-
-        fn on_precharge_update(&mut self, row: RowId, counter: ActCount) {
-            let effective = counter.get();
-            if let Some(e) = self.tracker.iter_mut().find(|e| e.0 == row) {
-                e.1 = e.1.max(effective);
-            } else if effective >= self.config.eth {
-                if self.tracker.len() < self.config.tracker_entries() {
-                    self.tracker.push((row, effective));
-                } else if let Some(min) = self.tracker.iter_mut().min_by_key(|e| e.1) {
-                    if effective > min.1 {
-                        *min = (row, effective);
-                    }
-                }
-            }
-            self.refresh_alert_flag();
-        }
-
-        fn alert_pending(&self) -> bool {
-            self.alert_pending
-        }
-
-        fn select_ref_mitigation(&mut self) -> Option<RowId> {
-            self.take_max()
-        }
-
-        fn select_alert_mitigation(&mut self) -> Option<RowId> {
-            self.take_max()
-        }
-
-        fn on_mitigation_complete(&mut self, _row: RowId) {
-            self.refresh_alert_flag();
-        }
-
-        fn on_refresh_group(
-            &mut self,
-            _rows: Range<u32>,
-            _counter_of: &mut dyn FnMut(RowId) -> ActCount,
-        ) {
-        }
-
-        fn resets_counters_on_refresh(&self) -> bool {
-            true
-        }
-
-        fn sram_bytes_per_bank(&self) -> usize {
-            7
-        }
-
-        fn as_any(&self) -> &dyn Any {
-            self
-        }
-    }
-
-    /// The seed's ledger: victim pressure via the filtered iterator, max
-    /// folded per element against the stored field.
-    struct LegacyLedger {
-        rows_per_bank: u32,
-        blast_radius: u32,
-        pressure: Vec<u32>,
-        max_ever: u32,
-        epoch: Vec<u32>,
-        max_epoch: u32,
-    }
-
-    impl LegacyLedger {
-        fn new(config: &DramConfig) -> Self {
-            LegacyLedger {
-                rows_per_bank: config.rows_per_bank,
-                blast_radius: config.blast_radius,
-                pressure: vec![0; config.rows_per_bank as usize],
-                max_ever: 0,
-                epoch: vec![0; config.rows_per_bank as usize],
-                max_epoch: 0,
-            }
-        }
-
-        fn on_activate(&mut self, row: RowId) {
-            for v in row.victims(self.blast_radius, self.rows_per_bank) {
-                let p = &mut self.pressure[v.as_usize()];
-                *p += 1;
-                if *p > self.max_ever {
-                    self.max_ever = *p;
-                }
-            }
-            let e = &mut self.epoch[row.as_usize()];
-            *e += 1;
-            self.max_epoch = self.max_epoch.max(*e);
-        }
-
-        fn on_refresh_rows(&mut self, rows: Range<u32>) {
-            for r in rows.clone() {
-                self.pressure[r as usize] = 0;
-            }
-            let lo = rows.start.saturating_sub(self.blast_radius);
-            let hi = rows.end.saturating_sub(self.blast_radius);
-            for r in lo..hi {
-                self.epoch[r as usize] = 0;
-            }
-        }
-
-        fn on_victim_refresh(&mut self, row: RowId) {
-            for v in row.victims(self.blast_radius, self.rows_per_bank) {
-                self.pressure[v.as_usize()] = 0;
-            }
-            self.epoch[row.as_usize()] = 0;
-        }
-    }
-
-    /// The seed's bank unit, with the boxed engine and legacy ledger.
-    struct LegacyUnit {
-        bank: Bank,
-        engine: Box<dyn MitigationEngine>,
-        ledger: LegacyLedger,
-        refresh: RefreshEngine,
-        inflight: Option<(RowId, u32)>,
-        budget: SlotBudget,
-    }
-
-    impl LegacyUnit {
-        fn new(config: &DramConfig, engine: Box<dyn MitigationEngine>, budget: SlotBudget) -> Self {
-            LegacyUnit {
-                bank: Bank::new(config),
-                engine,
-                ledger: LegacyLedger::new(config),
-                refresh: RefreshEngine::new(config),
-                inflight: None,
-                budget,
-            }
-        }
-
-        fn activate(&mut self, row: RowId, now: Nanos) {
-            let counter = self.bank.activate(row, now).expect("legal issue time");
-            self.ledger.on_activate(row);
-            self.engine.on_precharge_update(row, counter);
-        }
-
-        fn alert_pending(&self) -> bool {
-            self.engine.alert_pending()
-        }
-
-        fn perform_ref(&mut self, now: Nanos) {
-            let group = self.refresh.perform(now);
-            let (engine, bank) = (&mut self.engine, &self.bank);
-            engine.on_refresh_group(group.rows.clone(), &mut |r: RowId| bank.counter(r));
-            if self.engine.resets_counters_on_refresh() {
-                self.bank.reset_counters_in(group.rows.clone());
-            }
-            self.ledger.on_refresh_rows(group.rows.clone());
-            if matches!(
-                self.engine.ref_mitigation_mode(),
-                RefMitigationMode::Gradual
-            ) {
-                let slots = self.budget.on_ref();
-                for _ in 0..slots {
-                    self.mitigation_slot();
-                }
-            }
-        }
-
-        fn mitigation_slot(&mut self) {
-            if self.inflight.is_none() {
-                let Some(row) = self.engine.select_ref_mitigation() else {
-                    return;
-                };
-                self.inflight = Some((row, self.engine.ops_per_mitigation()));
-            }
-            let Some(m) = self.inflight.as_mut() else {
-                return;
-            };
-            m.1 = m.1.saturating_sub(1);
-            if m.1 == 0 {
-                let row = m.0;
-                self.inflight = None;
-                self.complete_mitigation(row);
-            }
-        }
-
-        fn rfm_mitigate(&mut self) {
-            if let Some(row) = self.engine.select_alert_mitigation() {
-                self.complete_mitigation(row);
-            }
-        }
-
-        fn complete_mitigation(&mut self, row: RowId) {
-            self.ledger.on_victim_refresh(row);
-            if self.engine.resets_counter_on_mitigation() {
-                self.bank.reset_counter(row);
-            }
-            self.engine.on_mitigation_complete(row);
-        }
-    }
-
-    pub struct LegacyPerfSim {
-        config: PerfConfig,
-        units: Vec<LegacyUnit>,
-        abo: AboProtocol,
-        stall_until: Nanos,
-        last_end: Nanos,
-    }
-
-    impl LegacyPerfSim {
-        pub fn new<F>(config: PerfConfig, mut engine_factory: F) -> Self
-        where
-            F: FnMut() -> Box<dyn MitigationEngine>,
-        {
-            let units = (0..config.banks)
-                .map(|_| LegacyUnit::new(&config.dram, engine_factory(), config.budget))
-                .collect();
-            LegacyPerfSim {
-                config,
-                units,
-                abo: AboProtocol::new(config.abo_level, config.dram.timing),
-                stall_until: Nanos::ZERO,
-                last_end: Nanos::ZERO,
-            }
-        }
-
-        pub fn run<S: RequestStream>(&mut self, mut stream: S) -> u64 {
-            let t_rc = self.config.dram.timing.t_rc;
-            let mut intent = Nanos::ZERO;
-            let mut shift = Nanos::ZERO;
-            let mut acts = 0u64;
-
-            while let Some(req) = stream.next_request() {
-                intent += req.gap;
-                let eff_intent = intent + shift;
-                let bank_idx = req.bank.as_usize();
-
-                let t = loop {
-                    let bank_ready = self.units[bank_idx].bank.next_ready();
-                    let t_cand = eff_intent.max(self.stall_until).max(bank_ready);
-
-                    let ref_due = self.units[0].refresh.next_due();
-                    if matches!(self.abo.phase(), AboPhase::Idle) && ref_due <= t_cand {
-                        self.do_ref(ref_due.max(self.stall_until));
-                        continue;
-                    }
-
-                    if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                        if t_cand + t_rc > stall_at {
-                            self.do_rfms(stall_at);
-                            continue;
-                        }
-                    }
-                    break t_cand;
-                };
-
-                self.units[bank_idx].activate(req.row, t);
-                acts += 1;
-                self.abo.on_act();
-                shift += t - eff_intent;
-                self.last_end = t + t_rc;
-
-                if self.config.alerts_enabled
-                    && self.abo.can_assert()
-                    && self.units.iter().any(LegacyUnit::alert_pending)
-                {
-                    self.abo
-                        .assert_alert(self.last_end)
-                        .expect("can_assert checked");
-                }
-            }
-
-            if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                self.do_rfms(stall_at);
-            }
-            acts
-        }
-
-        fn do_ref(&mut self, start: Nanos) {
-            for u in &mut self.units {
-                u.perform_ref(start);
-            }
-            let end = start + self.config.dram.timing.t_rfc;
-            self.stall_until = self.stall_until.max(end);
-            for u in &mut self.units {
-                u.bank.occupy_until(end);
-            }
-        }
-
-        fn do_rfms(&mut self, stall_at: Nanos) {
-            let mut t = stall_at.max(self.stall_until);
-            for _ in 0..self.config.abo_level.as_u8() {
-                t = self.abo.start_rfm(t).expect("rfm sequencing");
-                for u in &mut self.units {
-                    u.rfm_mitigate();
-                }
-            }
-            self.stall_until = self.stall_until.max(t);
-            for u in &mut self.units {
-                u.bank.occupy_until(t);
-            }
-        }
-    }
 }
 
 fn perf_config(banks: u16) -> PerfConfig {
@@ -872,52 +494,36 @@ where
         (report, start.elapsed().as_secs_f64())
     };
 
-    let run_legacy = |s: S| {
-        let start = Instant::now();
-        let executed = legacy::LegacyPerfSim::new(perf_config(banks), || {
-            Box::new(legacy::MultiScanMoat::new(MoatConfig::paper_default()))
-                as Box<dyn MitigationEngine>
-        })
-        .run(s);
-        (executed, start.elapsed().as_secs_f64())
-    };
-
     // Warm-up pass (pays one-time page faults and lets the CPU settle),
     // then best-of-3 per variant, interleaved so no variant
     // systematically benefits from running last.
     let (mono_report, _) = run_mono(stream.clone());
     let (boxed_report, _) = run_boxed(stream.clone());
-    let (legacy_acts, _) = run_legacy(stream.clone());
     assert_eq!(
         mono_report, boxed_report,
         "dispatch strategy changed simulation results"
     );
-    assert_eq!(legacy_acts, acts, "legacy reference dropped requests");
 
     let mut mono_secs = f64::INFINITY;
     let mut boxed_secs = f64::INFINITY;
-    let mut legacy_secs = f64::INFINITY;
     for _ in 0..3 {
         let (_, m) = run_mono(stream.clone());
         let (_, b) = run_boxed(stream.clone());
-        let (_, l) = run_legacy(stream.clone());
         mono_secs = mono_secs.min(m);
         boxed_secs = boxed_secs.min(b);
-        legacy_secs = legacy_secs.min(l);
     }
 
     HotPathResult {
         mono_acts_per_sec: acts as f64 / mono_secs.max(1e-9),
         boxed_acts_per_sec: acts as f64 / boxed_secs.max(1e-9),
-        legacy_acts_per_sec: acts as f64 / legacy_secs.max(1e-9),
         acts,
     }
 }
 
 /// Measures the security simulator on the single-row hammer attack:
 /// the per-step reference (`run` over the `Scripted` adapter) against
-/// the event-horizon batched path (`run_batched`), asserting along the
-/// way that both produce bit-identical reports.
+/// the event-horizon loop (`run_semi_scripted`), asserting along the way
+/// that both produce bit-identical reports.
 fn measure_security(duration: Nanos) -> SecurityPathResult {
     let mk = || {
         SecuritySim::new(
@@ -932,7 +538,7 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
     };
     let run_batched = || {
         let start = Instant::now();
-        let report = mk().run_batched(&mut hammer_attacker(30_000), duration);
+        let report = mk().run_semi_scripted(&mut hammer_attacker(30_000), duration);
         (report, start.elapsed().as_secs_f64())
     };
 
@@ -1188,15 +794,17 @@ fn measure_arena() -> ArenaPathResult {
     }
 }
 
-/// Attributes simulated time per phase inside the two security cells
-/// the roadmap calls "engine-bound" — Feinting against the ideal SRAM
-/// tracker and Ratchet against MOAT-L1 — by running each through the
-/// traced semi-scripted path with a [`Tracer`] at `Spans` level (no
-/// per-event recording, just phase attribution). Both cells use the
-/// exact constructions of their security experiments, scaled down to
-/// the cheapest figure point, so the profile describes the real cells
-/// rather than a proxy. The numbers are simulated nanoseconds, so the
-/// resulting JSON fields are bit-identical across hosts and runs.
+/// Attributes simulated time per phase inside two security cells —
+/// Feinting against the ideal SRAM tracker and Ratchet against MOAT-L1 —
+/// by running each through the event-horizon loop with a [`Tracer`] at
+/// `Spans` level (no per-event recording, just phase attribution). Both
+/// cells use the exact constructions of their security experiments,
+/// scaled down to the cheapest figure point, so the profile describes
+/// the real cells rather than a proxy. The numbers are simulated
+/// nanoseconds, so the resulting JSON fields are bit-identical across
+/// hosts and runs — and say nothing about host time: on the host,
+/// Feinting spends most of its time in engine calls and Ratchet does
+/// not (see README §Per-phase profiling).
 pub fn measure_profiles() -> Vec<CellPhaseProfile> {
     // Feinting (Fig. 6 shape): k = 3 tREFI per mitigation, 64 feint
     // periods, ALERT disabled — time should pool in tracker updates.
@@ -1209,13 +817,8 @@ pub fn measure_profiles() -> Vec<CellPhaseProfile> {
         let mut attacker = FeintingAttacker::new(periods as usize, 40_000);
         let duration = Nanos::new(u64::from(periods) * u64::from(k) * 3_900 + 1_000_000);
         let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        sim.run_semi_scripted_traced(
-            &mut attacker,
-            duration,
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
-        );
+        let hooks = Hooks::default().telemetry(&mut tracer);
+        sim.run_semi_scripted_with(&mut attacker, duration, hooks);
         *tracer.profile()
     };
 
@@ -1228,13 +831,8 @@ pub fn measure_profiles() -> Vec<CellPhaseProfile> {
         );
         let mut attacker = RatchetAttacker::new(64, 256);
         let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        sim.run_semi_scripted_traced(
-            &mut attacker,
-            Nanos::from_millis(8),
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
-        );
+        let hooks = Hooks::default().telemetry(&mut tracer);
+        sim.run_semi_scripted_with(&mut attacker, Nanos::from_millis(8), hooks);
         *tracer.profile()
     };
 
@@ -1316,13 +914,11 @@ mod tests {
             uniform: HotPathResult {
                 mono_acts_per_sec: 2.0e7,
                 boxed_acts_per_sec: 1.5e7,
-                legacy_acts_per_sec: 1.0e7,
                 acts: 100,
             },
             hammer: HotPathResult {
                 mono_acts_per_sec: 3.0e7,
                 boxed_acts_per_sec: 2.0e7,
-                legacy_acts_per_sec: 1.5e7,
                 acts: 100,
             },
             security: SecurityPathResult {
@@ -1404,8 +1000,6 @@ mod tests {
         let report = sample_report();
         let json = report.to_json();
         assert!(json.starts_with('{') && json.trim_end().ends_with('}'));
-        assert!(json.contains("\"uniform_speedup_vs_legacy\": 2.000"));
-        assert!(json.contains("\"hammer_speedup_vs_legacy\": 2.000"));
         assert!(json.contains("\"security_batched_speedup\": 3.000"));
         assert!(json.contains("\"adaptive_batched_speedup\": 3.000"));
         assert!(json.contains("\"sweep_speedup\": 4.000"));
@@ -1419,7 +1013,7 @@ mod tests {
         assert!(json.contains("\"profile_feinting_refresh_ns\": 3000"));
         assert!(json.contains("\"profile_ratchet_episode_churn_ns\": 5000"));
         assert!(json.contains("\"profile_ratchet_stream_decode_ns\": 0"));
-        assert_eq!(json.matches(':').count(), 39);
+        assert_eq!(json.matches(':').count(), 35);
         assert!(report.summary().contains("Simulator performance"));
         assert!(report.summary().contains("Where simulated time goes"));
         assert!(report.summary().contains("phase profile feinting"));

@@ -16,21 +16,18 @@
 //! recovery policy can be overridden via
 //! [`MOAT_RECOVERY`](RecoveryPlan::ENV_VAR).
 
-use moat_dram::{MitigationEngine, Nanos};
+use moat_dram::MitigationEngine;
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
 use moat_guard::{EngineGuard, RecoveryPlan, RecoveryStats};
-use moat_sim::{hammer_attacker, round_robin_attacker, SecurityConfig, SecuritySim};
+use moat_sim::{Hooks, SecurityConfig, SecuritySim};
 use moat_trackers::registry;
 
 use moat_fleet::Incident;
 use moat_telemetry::{MetricsRegistry, TelemetryLevel};
 
+use crate::faults_cmd::{attack, CELL_DURATION};
 use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
 use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
-
-/// Virtual time each cell simulates — matched to `repro faults sweep`
-/// so the unguarded rung reproduces its table.
-const CELL_DURATION: Nanos = Nanos::from_millis(4);
 
 /// The SEU-rate ladder (labels fixed for platform-independent output).
 const SEU_LADDER: [(&str, f64); 4] = [("0", 0.0), ("1e-4", 1e-4), ("1e-3", 1e-3), ("1e-2", 1e-2)];
@@ -86,44 +83,20 @@ fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
     registry::build(name).unwrap_or_else(|| unreachable!("unknown engine {name}"))
 }
 
-/// Runs one cell: a batched security simulation with the cell's fault
-/// plan armed and (for guarded rungs) an [`EngineGuard`] at the
+/// Runs one cell: an event-horizon security simulation with the cell's
+/// fault plan armed and (for guarded rungs) an [`EngineGuard`] at the
 /// boundaries. Returns the fault stats plus the recovery telemetry.
 fn run_cell(cell: RecoverCell) -> ((u64, FaultStats, Option<RecoveryStats>), u64) {
     let config = SecurityConfig::paper_default();
     let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
     let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
-    let rr = || round_robin_attacker((0..16).map(|i| i * 2).collect());
+    let hooks = Hooks::default().faults(&mut injector);
     let (report, recovery) = match cell.recovery {
-        None => {
-            let report = match cell.attack {
-                "hammer" => sim.run_batched_with_faults(
-                    &mut hammer_attacker(5),
-                    CELL_DURATION,
-                    &mut injector,
-                ),
-                "round-robin" => {
-                    sim.run_batched_with_faults(&mut rr(), CELL_DURATION, &mut injector)
-                }
-                other => unreachable!("unknown attack {other}"),
-            };
-            (report, None)
-        }
+        None => (attack(&mut sim, cell.attack, hooks), None),
         Some(plan) => {
             let mut guard = EngineGuard::new(plan);
             guard.arm(sim.unit_mut());
-            let report = match cell.attack {
-                "hammer" => sim.run_batched_guarded(
-                    &mut hammer_attacker(5),
-                    CELL_DURATION,
-                    &mut injector,
-                    &mut guard,
-                ),
-                "round-robin" => {
-                    sim.run_batched_guarded(&mut rr(), CELL_DURATION, &mut injector, &mut guard)
-                }
-                other => unreachable!("unknown attack {other}"),
-            };
+            let report = attack(&mut sim, cell.attack, hooks.guard(&mut guard));
             (report, Some(guard.stats()))
         }
     };

@@ -235,14 +235,15 @@ pub fn fig16() -> String {
 /// harness as a cross-check line).
 ///
 /// The hammer is non-adaptive, so this runs through the event-horizon
-/// batched path — bit-identical to the per-step reference (pinned by the
-/// `batched_matches_per_step` proptest) at a fraction of the host time.
+/// loop as a script — bit-identical to the per-step reference (pinned by
+/// the `batched_matches_per_step` proptest) at a fraction of the host
+/// time.
 pub fn moat_bound_check() -> String {
     let mut sim = SecuritySim::new(
         SecurityConfig::paper_default(),
         Box::new(MoatEngine::new(MoatConfig::paper_default())),
     );
-    let r = sim.run_batched(&mut hammer_attacker(30_000), Nanos::from_millis(4));
+    let r = sim.run_semi_scripted(&mut hammer_attacker(30_000), Nanos::from_millis(4));
     format!(
         "MOAT check: single-row hammer max ACT = {} (<= 99 tolerated), alerts = {}\n",
         r.max_pressure, r.alerts

@@ -133,8 +133,8 @@ impl SecurityLedger {
         }
     }
 
-    /// Hints the cache to load the ledger cells [`on_activate`]
-    /// (Self::on_activate) for `row` will touch. Called by the batched
+    /// Hints the cache to load the ledger cells
+    /// [`on_activate`](Self::on_activate) for `row` will touch. Called by the batched
     /// issue pipeline a few requests ahead of the activation so the loads
     /// overlap; has no observable effect on ledger state.
     #[inline]

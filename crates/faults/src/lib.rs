@@ -21,11 +21,11 @@
 //!   broke.
 //!
 //! Injection fires at *event-horizon boundaries* (each iteration of the
-//! simulator's batched loops; every ACT slot of the per-step reference),
-//! so rates are per-boundary probabilities. With every rate at zero the
-//! injector consumes **no** randomness and mutates nothing — the armed
-//! loops stay bit-identical to the disarmed build (pinned by proptest in
-//! `moat-bench`).
+//! simulator's event-horizon loop; every ACT slot of the per-step
+//! reference), so rates are per-boundary probabilities. With every rate
+//! at zero the injector consumes **no** randomness and mutates nothing —
+//! the armed loops stay bit-identical to the disarmed build (pinned by
+//! proptest in `moat-bench`).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -21,7 +21,8 @@ use moat_dram::{BankId, MitigationEngine};
 use moat_faults::FaultInjector;
 use moat_guard::EngineGuard;
 use moat_sim::{
-    hammer_attacker, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig, SecuritySim,
+    hammer_attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, SecurityConfig,
+    SecuritySim,
 };
 use moat_trackers::registry;
 use moat_workloads::{GeneratorConfig, WorkloadStream, PROFILES};
@@ -349,23 +350,19 @@ where
     );
     let mut security_sim = SecuritySim::new(SecurityConfig::paper_default(), engine());
     let mut attacker = hammer_attacker(5 + shard.index % 32);
+    let hooks = Hooks::default().faults(&mut injector);
     let (security, recovery) = match config.recovery {
         None => (
-            security_sim.run_batched_with_faults(
-                &mut attacker,
-                config.security_window,
-                &mut injector,
-            ),
+            security_sim.run_semi_scripted_with(&mut attacker, config.security_window, hooks),
             None,
         ),
         Some(plan) => {
             let mut guard = EngineGuard::new(plan);
             guard.arm(security_sim.unit_mut());
-            let report = security_sim.run_batched_guarded(
+            let report = security_sim.run_semi_scripted_with(
                 &mut attacker,
                 config.security_window,
-                &mut injector,
-                &mut guard,
+                hooks.guard(&mut guard),
             );
             (report, Some(guard.stats()))
         }

@@ -20,7 +20,7 @@
 //! ```
 //!
 //! Determinism: fates are drawn per shard from the seeded
-//! [`FleetFaultPlan`](crate::FleetFaultPlan) and shard results are pure
+//! [`FleetFaultPlan`] and shard results are pure
 //! functions of `(config, shard)`, so the merged report is bit-identical
 //! for any submission order, thread count, or resume-from-checkpoint
 //! split — the chaos tests pin exactly that.

@@ -193,7 +193,7 @@ impl RecoveryStats {
 
     /// Records these stats as counters (and one histogram observation per
     /// closed resync episode's mean) under `prefix` in a telemetry
-    /// [`MetricsRegistry`]. Purely additive, so registries recorded from
+    /// [`MetricsRegistry`](moat_telemetry::MetricsRegistry). Purely additive, so registries recorded from
     /// different shards merge deterministically regardless of order.
     pub fn record_metrics(&self, prefix: &str, reg: &mut moat_telemetry::MetricsRegistry) {
         reg.add(&format!("{prefix}.checks"), self.checks);

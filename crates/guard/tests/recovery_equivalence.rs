@@ -1,8 +1,8 @@
 //! Recovery equivalence pins (PR 8 satellite):
 //!
 //! 1. A **disarmed** guard ([`NoGuard`]) is bit-identical to the
-//!    unguarded fault entry points across per-step / batched /
-//!    semi-scripted × both engines — the guard hook constant-folds.
+//!    unguarded fault entry points across per-step / scripted /
+//!    adaptive runs × both engines — the guard hook constant-folds.
 //! 2. An **armed detect-only** guard (no scrub, no fallback) is
 //!    invisible on a clean run: only the engine's shadow state changes,
 //!    never the simulated trajectory. (A *scrubbing* guard is allowed
@@ -20,7 +20,7 @@ use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan};
 use moat_guard::{EngineGuard, RecoveryPlan};
 use moat_sim::{
-    hammer_attacker, round_robin_attacker, NoFaults, NoGuard, Scripted, SecurityConfig, SecuritySim,
+    hammer_attacker, round_robin_attacker, Hooks, NoGuard, Scripted, SecurityConfig, SecuritySim,
 };
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 use proptest::prelude::*;
@@ -43,8 +43,10 @@ const TOLERATED: u32 = 99;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Pin 1: `run_*_with_faults` and `run_*_guarded(.., NoGuard)` are
-    /// the same computation, even with a live fault stream.
+    /// Pin 1: the fault-only entry points kept for outside callers
+    /// (`run_with_faults`, `run_batched_with_faults`) and a lent fault
+    /// layer alone equal a hook stack that adds a disarmed guard, even
+    /// with a live fault stream.
     #[test]
     fn disarmed_guard_is_bit_identical_to_unguarded(
         seed in 0u64..u64::MAX,
@@ -55,7 +57,7 @@ proptest! {
         let config = SecurityConfig::paper_default();
         let plan = FaultPlan::seu(seed, 1e-3);
 
-        // Batched scripted mode.
+        // Scripted attacker, event-horizon loop.
         let mut a = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut inj_a = FaultInjector::new(plan, rows_per_bank());
         let r_a = a.run_batched_with_faults(
@@ -65,13 +67,12 @@ proptest! {
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_batched_guarded(
+        let r_b = b.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            Hooks::default().faults(&mut inj_b).guard(NoGuard),
         );
-        prop_assert_eq!(r_a, r_b, "batched mode diverged");
+        prop_assert_eq!(r_a, r_b, "scripted event-horizon run diverged");
         prop_assert_eq!(inj_a.stats(), inj_b.stats());
 
         // Per-step mode.
@@ -84,32 +85,31 @@ proptest! {
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_guarded(
+        let r_b = b.run_with(
             &mut Scripted::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            Hooks::default().faults(&mut inj_b).guard(NoGuard),
         );
         prop_assert_eq!(r_a, r_b, "per-step mode diverged");
         prop_assert_eq!(inj_a.stats(), inj_b.stats());
 
-        // Semi-scripted mode.
+        // Adaptive attacker, event-horizon loop; the disarmed guard is
+        // lent, so its `const ARMED` goes through the `&mut` impl.
         let mut a = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut inj_a = FaultInjector::new(plan, rows_per_bank());
-        let r_a = a.run_semi_scripted_with_faults(
+        let r_a = a.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut inj_a,
+            Hooks::default().faults(&mut inj_a),
         );
         let mut b = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut inj_b = FaultInjector::new(plan, rows_per_bank());
-        let r_b = b.run_semi_scripted_guarded(
+        let r_b = b.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut inj_b,
-            &mut NoGuard,
+            Hooks::default().faults(&mut inj_b).guard(&mut NoGuard),
         );
-        prop_assert_eq!(r_a, r_b, "semi-scripted mode diverged");
+        prop_assert_eq!(r_a, r_b, "adaptive event-horizon run diverged");
         prop_assert_eq!(inj_a.stats(), inj_b.stats());
     }
 
@@ -124,19 +124,18 @@ proptest! {
         let duration = Nanos::from_millis(1);
         let config = SecurityConfig::paper_default();
 
-        // Batched scripted mode.
+        // Scripted attacker, event-horizon loop.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
-        let r_clean = clean.run_batched(&mut round_robin_attacker(rows.clone()), duration);
+        let r_clean = clean.run_semi_scripted(&mut round_robin_attacker(rows.clone()), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_batched_guarded(
+        let r_armed = armed.run_semi_scripted_with(
             &mut round_robin_attacker(rows.clone()),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            Hooks::default().guard(&mut guard),
         );
-        prop_assert_eq!(r_clean, r_armed, "batched mode diverged");
+        prop_assert_eq!(r_clean, r_armed, "scripted event-horizon run diverged");
         prop_assert_eq!(guard.stats().detections, 0);
         prop_assert!(guard.stats().checks > 0, "the guard must have run");
 
@@ -146,28 +145,26 @@ proptest! {
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_guarded(
+        let r_armed = armed.run_with(
             &mut Scripted::new(round_robin_attacker(rows.clone())),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            Hooks::default().guard(&mut guard),
         );
         prop_assert_eq!(r_clean, r_armed, "per-step mode diverged");
         prop_assert_eq!(guard.stats().detections, 0);
 
-        // Semi-scripted mode.
+        // Adaptive attacker, event-horizon loop.
         let mut clean = SecuritySim::new(config, boxed_engine(engine_idx));
         let r_clean = clean.run_semi_scripted(&mut FeintingAttacker::new(4, rows[0]), duration);
         let mut armed = SecuritySim::new(config, boxed_engine(engine_idx));
         let mut guard = EngineGuard::new(RecoveryPlan::detect_only());
         prop_assert!(guard.arm(armed.unit_mut()));
-        let r_armed = armed.run_semi_scripted_guarded(
+        let r_armed = armed.run_semi_scripted_with(
             &mut FeintingAttacker::new(4, rows[0]),
             duration,
-            &mut NoFaults,
-            &mut guard,
+            Hooks::default().guard(&mut guard),
         );
-        prop_assert_eq!(r_clean, r_armed, "semi-scripted mode diverged");
+        prop_assert_eq!(r_clean, r_armed, "adaptive event-horizon run diverged");
         prop_assert_eq!(guard.stats().detections, 0);
     }
 
@@ -191,11 +188,15 @@ proptest! {
         };
 
         let mut clean = SecuritySim::new(config, moat());
-        let r_clean = clean.run_batched(&mut hammer_attacker(5), duration);
+        let r_clean = clean.run_semi_scripted(&mut hammer_attacker(5), duration);
 
         let mut unguarded = SecuritySim::new(config, moat());
         let mut inj_u = FaultInjector::new(plan, rows_per_bank());
-        let _ = unguarded.run_batched_with_faults(&mut hammer_attacker(5), duration, &mut inj_u);
+        let _ = unguarded.run_semi_scripted_with(
+            &mut hammer_attacker(5),
+            duration,
+            Hooks::default().faults(&mut inj_u),
+        );
 
         let mut guarded = SecuritySim::new(config, moat());
         let mut inj_g = FaultInjector::new(plan, rows_per_bank());
@@ -204,8 +205,11 @@ proptest! {
             fallback: true,
         });
         prop_assert!(guard.arm(guarded.unit_mut()));
-        let r_guarded =
-            guarded.run_batched_guarded(&mut hammer_attacker(5), duration, &mut inj_g, &mut guard);
+        let r_guarded = guarded.run_semi_scripted_with(
+            &mut hammer_attacker(5),
+            duration,
+            Hooks::default().faults(&mut inj_g).guard(&mut guard),
+        );
 
         let g = inj_g.stats();
         prop_assert_eq!(g.unsound_horizons, 0, "guard must close every horizon");

@@ -1,5 +1,5 @@
-//! The fault-injection hook the security simulator threads through its
-//! three execution modes.
+//! The fault-injection layer of the security simulator's
+//! [`Hooks`](crate::Hooks) stack.
 //!
 //! Real in-DRAM trackers are SRAM subject to single-event upsets, and the
 //! ALERT/RFM signalling can glitch; the [`FaultHook`] trait lets a plan
@@ -10,12 +10,10 @@
 //! horizon goes unsound.
 //!
 //! The hook is a *compile-time* switch: [`FaultHook::ARMED`] is an
-//! associated `const`, and every injection site in the simulator is
-//! guarded by `if F::ARMED`. Monomorphized with the default [`NoFaults`]
-//! hook (`ARMED = false`), all fault branches constant-fold away and the
-//! batched hot paths compile to exactly the fault-free code — the public
-//! `run`/`run_batched`/`run_semi_scripted` entry points delegate through
-//! `NoFaults` and are unchanged in behaviour and cost.
+//! associated `const`, and [`Hooks`](crate::Hooks) guards every
+//! injection site with it. With the default [`NoFaults`] hook
+//! (`ARMED = false`) all fault branches constant-fold away and the hot
+//! loops compile to exactly the fault-free code.
 
 use moat_dram::{MitigationEngine, Nanos};
 
@@ -23,9 +21,9 @@ use moat_dram::{MitigationEngine, Nanos};
 ///
 /// The simulator consults the hook at well-defined points:
 ///
-/// * [`at_boundary`](Self::at_boundary) — once per event-horizon
-///   boundary (each iteration of a batched loop; each ACT slot of the
-///   per-step reference), *before* the defense priority match. This is
+/// * [`at_boundary`](Self::at_boundary) — once per boundary (each
+///   iteration of the event-horizon loop; each ACT slot of the per-step
+///   reference), *before* the defense priority match. This is
 ///   where SEU bit-flips land, via
 ///   [`MitigationEngine::apply_fault`].
 /// * [`drop_rfm`](Self::drop_rfm) — once per RFM about to issue inside
@@ -36,8 +34,8 @@ use moat_dram::{MitigationEngine, Nanos};
 ///   latch (via [`moat_dram::EngineFault::LoseAlert`]) instead of
 ///   asserting, so the episode never starts.
 /// * [`on_unsound_horizon`](Self::on_unsound_horizon) — reported when an
-///   armed batched run observes `alert_pending` flip strictly inside an
-///   engine-guaranteed grant: the fault corrupted state out from under
+///   armed event-horizon run observes `alert_pending` flip strictly
+///   inside an engine-guaranteed grant: the fault corrupted state out from under
 ///   the horizon invariant, and the attacker got `promised - done` free
 ///   ACTs the fault-free design would have stalled.
 ///
@@ -75,4 +73,26 @@ pub struct NoFaults;
 
 impl FaultHook for NoFaults {
     const ARMED: bool = false;
+}
+
+/// A lent hook: [`Hooks`](crate::Hooks) can hold `&mut injector`, and
+/// the caller keeps the injector (and its stats) after the run.
+impl<F: FaultHook> FaultHook for &mut F {
+    const ARMED: bool = F::ARMED;
+
+    fn at_boundary(&mut self, now: Nanos, engine: &mut dyn MitigationEngine) {
+        (**self).at_boundary(now, engine);
+    }
+
+    fn drop_rfm(&mut self, now: Nanos) -> bool {
+        (**self).drop_rfm(now)
+    }
+
+    fn lose_alert(&mut self, now: Nanos) -> bool {
+        (**self).lose_alert(now)
+    }
+
+    fn on_unsound_horizon(&mut self, now: Nanos, promised: u64, done: u64) {
+        (**self).on_unsound_horizon(now, promised, done);
+    }
 }

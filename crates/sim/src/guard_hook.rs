@@ -1,5 +1,5 @@
-//! The integrity-guard hook the security simulator threads through its
-//! three execution modes — the recovery-side twin of
+//! The integrity-guard layer of the security simulator's
+//! [`Hooks`](crate::Hooks) stack — the recovery-side twin of
 //! [`FaultHook`](crate::FaultHook).
 //!
 //! Where a [`FaultHook`](crate::FaultHook) *corrupts* the engine at
@@ -12,20 +12,15 @@
 //! `moat-guard` crate for the concrete policy).
 //!
 //! The hook follows the same *compile-time* switch discipline:
-//! [`GuardHook::ARMED`] is an associated `const`, every call site in the
-//! simulator is guarded by `if G::ARMED`, and the default [`NoGuard`]
-//! hook (`ARMED = false`) constant-folds every guard branch away — the
-//! public `run`/`run_batched`/`run_semi_scripted` entry points (and the
-//! `_with_faults` variants) delegate through `NoGuard` and are unchanged
-//! in behaviour and cost.
+//! [`GuardHook::ARMED`] is an associated `const` guarding every call
+//! site, and the default [`NoGuard`] hook (`ARMED = false`)
+//! constant-folds every guard branch away.
 //!
-//! Ordering contract: the simulator calls the guard **after** the fault
-//! hook at each boundary (inject → detect/repair → promise). Corruption
-//! injected at a boundary is therefore visible to the guard before the
+//! [`Hooks`](crate::Hooks) fixes where the guard runs in a boundary.
+//! Because corruption injected there is visible to the guard before the
 //! engine's [`min_acts_to_alert`](moat_dram::MitigationEngine::min_acts_to_alert)
-//! promise for that boundary is computed — which is what lets an armed
-//! guard with the conservative fallback close every SEU-induced unsound
-//! horizon.
+//! promise is computed, an armed guard with the conservative fallback
+//! closes every SEU-induced unsound horizon.
 
 use moat_dram::{MitigationEngine, Nanos};
 
@@ -61,4 +56,14 @@ pub struct NoGuard;
 
 impl GuardHook for NoGuard {
     const ARMED: bool = false;
+}
+
+/// A lent hook: [`Hooks`](crate::Hooks) can hold `&mut guard`, and the
+/// caller keeps the guard (and its stats) after the run.
+impl<G: GuardHook> GuardHook for &mut G {
+    const ARMED: bool = G::ARMED;
+
+    fn at_boundary<E: MitigationEngine>(&mut self, now: Nanos, unit: &mut BankUnit<E>) {
+        (**self).at_boundary(now, unit);
+    }
 }

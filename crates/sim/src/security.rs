@@ -8,24 +8,22 @@
 //! defense. The attacker sees the complete defense state each step (threat
 //! model §2.1) and decides the next activation.
 //!
-//! Three execution modes share the same state machine:
+//! Two loops share the same state machine:
 //!
 //! * [`SecuritySim::run`] steps an adaptive [`Attacker`] one ACT slot at a
 //!   time — the bit-identical reference every experiment can fall back to.
-//! * [`SecuritySim::run_batched`] drives a non-adaptive
-//!   [`ScriptedAttacker`] between *event horizons*: between two
-//!   state-changing events (next REF deadline, ABO activity-window close,
-//!   earliest possible ALERT per
-//!   [`MitigationEngine::min_acts_to_alert`]) the defense is inert, so a
-//!   whole run of scripted ACTs issues as one batched pass through the
-//!   bank unit instead of re-entering the four-way priority match per
-//!   slot.
-//! * [`SecuritySim::run_semi_scripted`] extends the same batching to
-//!   *adaptive* attackers via the [`SemiScriptedAttacker`] protocol: the
-//!   attacker observes one [`DefenseView`] snapshot per horizon and
-//!   publishes its next run — a burst of activations, an idle stretch, a
-//!   REF postponement, or a stop — valid until the published length or
-//!   the next event horizon, whichever comes first.
+//! * [`SecuritySim::run_semi_scripted`] runs between *event horizons*:
+//!   between two state-changing events (next REF deadline, ABO
+//!   activity-window close, earliest possible ALERT per
+//!   [`MitigationEngine::min_acts_to_alert`]) the defense is inert. A
+//!   [`SemiScriptedAttacker`] observes one [`DefenseView`] snapshot per
+//!   horizon and publishes its next run — a burst of activations, an idle
+//!   stretch, a REF postponement, or a stop — which issues as one batched
+//!   pass through the bank unit. Every non-adaptive [`ScriptedAttacker`]
+//!   is semi-scripted through a blanket impl, so scripts run here too.
+//!
+//! Each loop has a `_with` form taking a [`Hooks`] stack; the plain form
+//! passes the all-disarmed default.
 
 use std::borrow::Cow;
 
@@ -33,11 +31,12 @@ use moat_dram::{
     AboLevel, AboPhase, AboProtocol, DramConfig, EngineFault, MitigationEngine, Nanos, RowId,
 };
 
-use moat_telemetry::{NoTelemetry, SimEvent, SimPhase, TelemetryHook};
+use moat_telemetry::{SimEvent, SimPhase, TelemetryHook};
 
 use crate::budget::SlotBudget;
-use crate::fault_hook::{FaultHook, NoFaults};
-use crate::guard_hook::{GuardHook, NoGuard};
+use crate::fault_hook::FaultHook;
+use crate::guard_hook::GuardHook;
+use crate::hooks::Hooks;
 use crate::unit::{BankUnit, BankUnitView};
 
 /// Upper bound on the rows fetched per scripted run. The REF cadence caps
@@ -100,12 +99,13 @@ pub trait Attacker {
 /// A non-adaptive single-bank attacker: a script of activations that does
 /// not depend on the defense state.
 ///
-/// Scripted attackers are what [`SecuritySim::run_batched`] drives: the
-/// simulator asks for a run of upcoming rows sized to the current event
-/// horizon and issues the whole run through the bank unit in one batched
-/// pass. Wrapping the same script in [`Scripted`] yields the equivalent
-/// adaptive [`Attacker`] (one [`AttackStep::Act`] per step,
-/// [`AttackStep::Stop`] at exhaustion), which is how the per-step
+/// Every script is a [`SemiScriptedAttacker`] through a blanket impl, so
+/// [`SecuritySim::run_semi_scripted`] drives it: the simulator asks for a
+/// run of upcoming rows sized to the engine-guaranteed tier of the
+/// current event horizon and issues the whole run through the bank unit
+/// in one batched pass. Wrapping the same script in [`Scripted`] yields
+/// the equivalent adaptive [`Attacker`] (one [`AttackStep::Act`] per
+/// step, [`AttackStep::Stop`] at exhaustion), which is how the per-step
 /// reference path executes it — both produce bit-identical
 /// [`SecurityReport`]s.
 pub trait ScriptedAttacker {
@@ -126,7 +126,7 @@ pub trait ScriptedAttacker {
 /// Adapter running a [`ScriptedAttacker`] as an adaptive [`Attacker`]:
 /// one scripted row per step, [`AttackStep::Stop`] at exhaustion. This is
 /// the per-step reference form of a script — the equivalence oracle the
-/// batched path is regression-tested against.
+/// event-horizon loop is regression-tested against.
 #[derive(Debug)]
 pub struct Scripted<A> {
     inner: A,
@@ -264,7 +264,7 @@ pub trait SemiScriptedAttacker {
 /// next `alert_safe` rows (a script models nothing about the defense, so
 /// it stays within the engine-guaranteed tier) and never looks at the
 /// view.
-impl<A: ScriptedAttacker> SemiScriptedAttacker for A {
+impl<A: ScriptedAttacker + ?Sized> SemiScriptedAttacker for A {
     fn publish(
         &mut self,
         _view: &DefenseView<'_>,
@@ -446,100 +446,50 @@ impl<E: MitigationEngine> SecuritySim<E> {
         self.now
     }
 
-    /// Runs `attacker` for `duration` of virtual time (or until it stops)
-    /// and reports the outcome. Can be called repeatedly; time continues.
+    /// Runs `attacker` one ACT slot at a time for `duration` of virtual
+    /// time (or until it stops) and reports the outcome — the per-step
+    /// reference. Can be called repeatedly; time continues.
     pub fn run(&mut self, attacker: &mut dyn Attacker, duration: Nanos) -> SecurityReport {
-        self.run_with_faults(attacker, duration, &mut NoFaults)
+        self.run_with(attacker, duration, Hooks::default())
     }
 
-    /// [`run`](Self::run) with a [`FaultHook`] threaded through: the hook
-    /// sees every ACT slot as a boundary and may corrupt the engine,
-    /// drop RFMs, or lose ALERT assertions. With the disarmed
-    /// [`NoFaults`] hook (what [`run`](Self::run) passes) every fault
-    /// branch constant-folds away and this *is* the fault-free loop.
-    pub fn run_with_faults<F: FaultHook>(
+    /// [`run`](Self::run) with a [`Hooks`] stack threaded through: every
+    /// ACT slot is a boundary. With [`Hooks::default`] every hook branch
+    /// constant-folds away and this *is* [`run`](Self::run).
+    pub fn run_with<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         attacker: &mut dyn Attacker,
         duration: Nanos,
-        faults: &mut F,
-    ) -> SecurityReport {
-        self.run_guarded(attacker, duration, faults, &mut NoGuard)
-    }
-
-    /// [`run_with_faults`](Self::run_with_faults) with a [`GuardHook`]
-    /// threaded through as well: the guard observes every boundary
-    /// immediately *after* the fault hook's injection point (inject →
-    /// detect/repair → act), so boundary-injected corruption never
-    /// reaches the defense priority match unchecked. With the disarmed
-    /// [`NoGuard`] hook every guard branch constant-folds away and this
-    /// *is* [`run_with_faults`](Self::run_with_faults).
-    pub fn run_guarded<F: FaultHook, G: GuardHook>(
-        &mut self,
-        attacker: &mut dyn Attacker,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-    ) -> SecurityReport {
-        self.run_traced(attacker, duration, faults, guard, &mut NoTelemetry)
-    }
-
-    /// [`run_guarded`](Self::run_guarded) with a [`TelemetryHook`]
-    /// threaded through as well — the outermost layer of the hook
-    /// stack, observing each boundary *after* the fault hook has
-    /// injected and the guard has detected/repaired (inject →
-    /// detect/repair → observe). Telemetry is read-only: everything it
-    /// records derives from sim time and ACT counts, and with the
-    /// disarmed [`NoTelemetry`] hook every instrumentation branch
-    /// constant-folds away — this *is*
-    /// [`run_guarded`](Self::run_guarded).
-    pub fn run_traced<F: FaultHook, G: GuardHook, T: TelemetryHook>(
-        &mut self,
-        attacker: &mut dyn Attacker,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
+        mut hooks: Hooks<F, G, T>,
     ) -> SecurityReport {
         let end = self.now + duration;
         let t_rc = self.config.dram.timing.t_rc;
         let t_rfc = self.config.dram.timing.t_rfc;
 
         while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
+            hooks.at_boundary(self.now, &mut self.unit);
 
             // 1. ABO RFM phase has priority once the activity window closes.
             match self.abo.phase() {
                 AboPhase::ActWindow { stall_at } if self.now >= stall_at => {
                     let t0 = self.now;
                     let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !hooks.drop_rfm(self.now) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                     continue;
                 }
                 AboPhase::Rfm { busy_until, .. } => {
                     let t0 = self.now;
                     let t = self.now.max(busy_until);
                     let done = self.abo.start_rfm(t).expect("chained rfm");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !hooks.drop_rfm(self.now) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                     continue;
                 }
                 _ => {}
@@ -550,24 +500,20 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 let t0 = self.now;
                 self.unit.perform_ref(self.now);
                 self.now += t_rfc;
-                if T::ARMED {
-                    tel.on_event(t0, SimEvent::Ref);
-                    tel.on_phase(SimPhase::Refresh, t0, self.now, 1);
-                }
+                hooks.event(t0, SimEvent::Ref);
+                hooks.phase(SimPhase::Refresh, t0, self.now, 1);
                 continue;
             }
 
             // 3. Assert ALERT as soon as requested and permitted.
             if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-                if F::ARMED && faults.lose_alert(self.now) {
+                if hooks.lose_alert(self.now) {
                     // The assertion is lost in flight: clear the request
                     // latch; it re-arms when a counter next crosses ATH.
                     self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
                 } else {
                     self.abo.assert_alert(self.now).expect("can_assert checked");
-                    if T::ARMED {
-                        tel.on_event(self.now, SimEvent::Alert);
-                    }
+                    hooks.event(self.now, SimEvent::Alert);
                     // Normal operation continues inside the 180 ns window.
                 }
             }
@@ -584,17 +530,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
             match step {
                 AttackStep::Stop => break,
                 AttackStep::Idle => {
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                    }
+                    hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                     self.now += t_rc;
                 }
                 AttackStep::PostponeRef => {
                     if self.unit.refresh_mut().postpone().is_err() {
                         // Budget exhausted: burn the slot instead.
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        }
+                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                         self.now += t_rc;
                     }
                 }
@@ -603,9 +545,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
                     // before the stall point.
                     if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
                         if self.now + t_rc > stall_at {
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                            }
+                            hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
                             self.now = stall_at;
                             continue;
                         }
@@ -616,17 +556,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         Ok(_) => {
                             self.abo.on_act();
                             self.now = t + t_rc;
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                            }
+                            hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
                         }
                         Err(_) => {
                             // Timing said no; advance to the bank's ready
                             // time and retry next iteration.
                             self.now = self.unit.bank().next_ready();
-                            if T::ARMED {
-                                tel.on_phase(SimPhase::Idle, t0, self.now, 0);
-                            }
+                            hooks.phase(SimPhase::Idle, t0, self.now, 0);
                         }
                     }
                 }
@@ -636,90 +572,90 @@ impl<E: MitigationEngine> SecuritySim<E> {
         self.report()
     }
 
-    /// Runs a non-adaptive `attacker` for `duration` of virtual time (or
-    /// until its script ends) — the event-horizon batched fast path.
-    ///
-    /// Between two state-changing events the defense is inert, so instead
-    /// of re-entering the per-slot priority match of [`run`](Self::run),
-    /// the simulator computes how many ACTs are provably event-free — the
-    /// minimum over the next REF deadline, the remaining duration, and
-    /// the engine's [`MitigationEngine::min_acts_to_alert`] horizon — and
-    /// issues that whole run through the bank unit in one batched,
-    /// prefetching pass. ALERT episodes resolve against the pre-resolved
-    /// [`EpisodeSchedule`](moat_dram::EpisodeSchedule) (assert → stall →
-    /// `L` RFMs as one arithmetic step) instead of per-RFM protocol
-    /// round-trips, the episode's ~3 in-window ACTs batch against the
-    /// precomputed stall point, and a spacing-stalled ALERT batches the
-    /// exact run of ACTs the inter-ALERT rule still owes.
-    ///
-    /// Purely a host-side optimization: the report is bit-identical to
-    /// `run` over [`Scripted::new`] of the same script (pinned by the
-    /// `batched_matches_per_step` proptest). Like `run`, it can be called
-    /// repeatedly and time continues.
+    /// [`run_with`](Self::run_with) with only a fault layer. Kept as a
+    /// forwarder for the host-time benchmark (`hostbench/`).
+    pub fn run_with_faults<F: FaultHook>(
+        &mut self,
+        attacker: &mut dyn Attacker,
+        duration: Nanos,
+        faults: &mut F,
+    ) -> SecurityReport {
+        self.run_with(attacker, duration, Hooks::default().faults(faults))
+    }
+
+    /// [`run_semi_scripted`](Self::run_semi_scripted) over a script: every
+    /// [`ScriptedAttacker`] is semi-scripted through the blanket impl.
+    /// Kept as a forwarder for the host-time benchmark (`hostbench/`).
     pub fn run_batched<A: ScriptedAttacker + ?Sized>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
     ) -> SecurityReport {
-        self.run_batched_with_faults(attacker, duration, &mut NoFaults)
+        self.run_semi_scripted(attacker, duration)
     }
 
-    /// [`run_batched`](Self::run_batched) with a [`FaultHook`] threaded
-    /// through: the hook sees every event-horizon boundary and may
-    /// corrupt the engine there. When armed, granted runs issue one ACT
-    /// at a time with the engine's promised horizon checked after each —
-    /// a fault that breaks the
-    /// [`min_acts_to_alert`](MitigationEngine::min_acts_to_alert)
-    /// invariant is reported via [`FaultHook::on_unsound_horizon`] and
-    /// the remainder of the grant still executes (the controller already
-    /// committed to the burst; the escaped ACTs are the measured damage).
-    /// With the disarmed [`NoFaults`] hook every fault branch
-    /// constant-folds away and the batched hot path is byte-for-byte the
-    /// fault-free one.
+    /// [`run_semi_scripted_with`](Self::run_semi_scripted_with) over a
+    /// script with only a fault layer. Kept as a forwarder for the
+    /// host-time benchmark (`hostbench/`).
     pub fn run_batched_with_faults<A: ScriptedAttacker + ?Sized, F: FaultHook>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
         faults: &mut F,
     ) -> SecurityReport {
-        self.run_batched_guarded(attacker, duration, faults, &mut NoGuard)
+        self.run_semi_scripted_with(attacker, duration, Hooks::default().faults(faults))
     }
 
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults) with a
-    /// [`GuardHook`] threaded through as well: the guard observes every
-    /// event-horizon boundary immediately *after* the fault hook's
-    /// injection point, so the engine's promise for the upcoming grant is
-    /// computed on checked (and possibly repaired) state — an armed guard
-    /// with the conservative fallback closes boundary-injected unsound
-    /// horizons entirely. With the disarmed [`NoGuard`] hook this *is*
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults).
-    pub fn run_batched_guarded<A: ScriptedAttacker + ?Sized, F: FaultHook, G: GuardHook>(
+    /// Runs a [`SemiScriptedAttacker`] for `duration` of virtual time (or
+    /// until it stops) — the event-horizon loop, for adaptive attackers
+    /// and scripts alike.
+    ///
+    /// Between two state-changing events the defense is inert, so instead
+    /// of re-entering the per-slot priority match of [`run`](Self::run),
+    /// each iteration hands the attacker one [`DefenseView`] snapshot and
+    /// a two-tier [`RunGrant`]: the slots provably free of simulator-side
+    /// events (next REF deadline, ALERT stall point, end of the run), and
+    /// within them the engine's
+    /// [`min_acts_to_alert`](MitigationEngine::min_acts_to_alert) horizon.
+    /// The attacker publishes its next run against that snapshot, which
+    /// issues through the bank unit in one batched, prefetching pass.
+    /// Published idle stretches batch the same way. ALERT episodes
+    /// resolve against the pre-resolved
+    /// [`EpisodeSchedule`](moat_dram::EpisodeSchedule) (assert → stall →
+    /// `L` RFMs as one arithmetic step).
+    ///
+    /// Purely a host-side optimization: under the publish contract on
+    /// [`SemiScriptedAttacker`], the report is bit-identical to
+    /// [`run`](Self::run) over the equivalent per-step attacker — for a
+    /// script, [`Scripted::new`] of it (pinned by this crate's
+    /// `batched_matches_per_step` proptests and the `semi_equivalence`
+    /// proptests in `moat-attacks`). Like `run`, it can
+    /// be called repeatedly and time continues.
+    pub fn run_semi_scripted<A: SemiScriptedAttacker + ?Sized>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
     ) -> SecurityReport {
-        self.run_batched_traced(attacker, duration, faults, guard, &mut NoTelemetry)
+        self.run_semi_scripted_with(attacker, duration, Hooks::default())
     }
 
-    /// [`run_batched_guarded`](Self::run_batched_guarded) with a
-    /// [`TelemetryHook`] threaded through as well — the outermost hook
-    /// layer (inject → detect/repair → observe), recording each
-    /// event-horizon boundary, ALERT episode, REF, and granted run as
-    /// sim-time spans. With the disarmed [`NoTelemetry`] hook every
-    /// instrumentation branch constant-folds away and this *is*
-    /// [`run_batched_guarded`](Self::run_batched_guarded).
-    pub fn run_batched_traced<A, F, G, T>(
+    /// [`run_semi_scripted`](Self::run_semi_scripted) with a [`Hooks`]
+    /// stack threaded through: every event horizon is a boundary. With
+    /// the fault layer armed, granted runs issue one ACT at a time with
+    /// the engine's promise ([`RunGrant::alert_safe`]) checked after each:
+    /// a fault that breaks it is reported via
+    /// [`FaultHook::on_unsound_horizon`], and the rest of the grant still
+    /// executes (the controller already committed to the burst; the
+    /// escaped ACTs are the measured damage). With [`Hooks::default`] this
+    /// *is* [`run_semi_scripted`](Self::run_semi_scripted).
+    pub fn run_semi_scripted_with<A, F, G, T>(
         &mut self,
         attacker: &mut A,
         duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
+        mut hooks: Hooks<F, G, T>,
     ) -> SecurityReport
     where
-        A: ScriptedAttacker + ?Sized,
+        A: SemiScriptedAttacker + ?Sized,
         F: FaultHook,
         G: GuardHook,
         T: TelemetryHook,
@@ -730,69 +666,83 @@ impl<E: MitigationEngine> SecuritySim<E> {
         let mut run: Vec<RowId> = Vec::with_capacity(MAX_RUN);
 
         while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
-            if self.advance_defense(end, t_rfc, faults, tel) {
+            hooks.at_boundary(self.now, &mut self.unit);
+            if self.advance_defense(end, t_rfc, &mut hooks) {
                 continue;
             }
 
-            // 4. Issue the next event-free run (or a single guarded step).
-            // A script models nothing about the defense, so it runs in
-            // the engine-guaranteed tier of the grant.
-            let horizon = self.act_grant(end, t_rc).alert_safe;
+            // Publish the next run against a fresh snapshot.
+            let grant = self.act_grant(end, t_rc);
             run.clear();
-            if horizon > 1 {
-                let n = attacker.next_run(&mut run, horizon);
-                if n == 0 {
-                    break;
-                }
-                let t0 = self.now;
-                if F::ARMED {
-                    let promised = self.engine_promise(horizon);
-                    self.issue_run_checked(&run[..n], promised, t_rc, faults);
-                } else {
-                    self.unit.activate_run(&run[..n], self.now, t_rc);
-                    self.abo.on_acts(n as u64);
-                    self.now += t_rc * (n as u64);
-                }
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
-                }
-            } else {
-                // Per-step fallback: inside an ALERT window, under a
-                // spacing-stalled ALERT, or with no engine guarantee.
-                if attacker.next_run(&mut run, 1) == 0 {
-                    break;
-                }
-                let row = run[0];
-                // Inside an ALERT activity window, an ACT must finish
-                // before the stall point; the slot (and its row) is
-                // otherwise dropped, as in the per-step reference.
-                if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                    if self.now + t_rc > stall_at {
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                        }
-                        self.now = stall_at;
-                        continue;
+            let step = {
+                let view = DefenseView {
+                    now: self.now,
+                    unit: self.unit.as_view(),
+                    abo: &self.abo,
+                };
+                attacker.publish(&view, &mut run, grant)
+            };
+            match step {
+                SemiRun::Stop => break,
+                SemiRun::PostponeRef => {
+                    if self.unit.refresh_mut().postpone().is_err() {
+                        // Budget exhausted: burn the slot instead.
+                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
+                        self.now += t_rc;
                     }
                 }
-                let t0 = self.now;
-                let t = self.now.max(self.unit.bank().next_ready());
-                self.unit
-                    .activate(row, t)
-                    .expect("scripted row within the bank");
-                self.abo.on_act();
-                self.now = t + t_rc;
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
+                SemiRun::Idle(want) => {
+                    let n = self.idle_horizon(end, t_rc).min(want.max(1));
+                    hooks.phase(SimPhase::Idle, self.now, self.now + t_rc * n, n);
+                    self.now += t_rc * n;
+                }
+                SemiRun::Acts(n) => {
+                    let n = n.min(run.len()).min(grant.max);
+                    if n == 0 {
+                        break;
+                    }
+                    if grant.max > 1 {
+                        let t0 = self.now;
+                        if F::ARMED {
+                            let promised = self.engine_promise(grant.alert_safe);
+                            self.issue_run_checked(&run[..n], promised, t_rc, &mut hooks);
+                        } else if n == 1 {
+                            // A one-ACT run (a script under a one-slot
+                            // engine horizon) skips the prefetching pass.
+                            self.unit
+                                .activate(run[0], self.now)
+                                .expect("event-free run respects bank timing");
+                            self.abo.on_act();
+                            self.now += t_rc;
+                        } else {
+                            self.unit.activate_run(&run[..n], self.now, t_rc);
+                            self.abo.on_acts(n as u64);
+                            self.now += t_rc * (n as u64);
+                        }
+                        hooks.phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
+                    } else {
+                        // Single guarded step: inside an ALERT window,
+                        // under a spacing-stalled ALERT, or with no
+                        // engine guarantee. An ACT that cannot finish
+                        // before the stall point is dropped (consumed
+                        // without landing), as in the per-step reference.
+                        let row = run[0];
+                        if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
+                            if self.now + t_rc > stall_at {
+                                hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
+                                self.now = stall_at;
+                                continue;
+                            }
+                        }
+                        let t0 = self.now;
+                        let t = self.now.max(self.unit.bank().next_ready());
+                        self.unit
+                            .activate(row, t)
+                            .expect("published row within the bank");
+                        self.abo.on_act();
+                        self.now = t + t_rc;
+                        hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
+                    }
                 }
             }
         }
@@ -800,11 +750,10 @@ impl<E: MitigationEngine> SecuritySim<E> {
         self.report()
     }
 
-    /// Steps 1–3 shared by both batched execution modes
-    /// ([`run_batched`](Self::run_batched) and
-    /// [`run_semi_scripted`](Self::run_semi_scripted)); returns `true`
-    /// when it advanced the defense (an RFM phase step or a REF) and the
-    /// caller must re-enter its loop to re-evaluate priorities.
+    /// Steps 1–3 of the event-horizon loop — the one place that orders
+    /// ABO, REF and ALERT for it; returns `true` when it advanced the
+    /// defense (an RFM phase step or a REF) and the loop must re-enter to
+    /// re-evaluate priorities.
     ///
     /// The RFM phase flattens into one arithmetic step via
     /// [`AboProtocol::complete_episode`] when the whole phase runs before
@@ -813,12 +762,11 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// so the episode drains per-RFM to stop at the identical point — a
     /// published run whose horizon lands inside an ALERT episode resumes
     /// through the same per-RFM path on the next call.
-    fn advance_defense<F: FaultHook, T: TelemetryHook>(
+    fn advance_defense<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         end: Nanos,
         t_rfc: Nanos,
-        faults: &mut F,
-        tel: &mut T,
+        hooks: &mut Hooks<F, G, T>,
     ) -> bool {
         // 1. ABO RFM phase has priority once the activity window closes.
         match self.abo.phase() {
@@ -832,41 +780,35 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         .complete_episode(self.now)
                         .expect("episode after window");
                     for _ in 0..rfms {
-                        if !(F::ARMED && faults.drop_rfm(self.now)) {
+                        if !hooks.drop_rfm(self.now) {
                             self.unit.rfm_mitigate();
                         }
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_event(t0, SimEvent::Episode { rfms });
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
-                    }
+                    hooks.event(t0, SimEvent::Episode { rfms });
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
                 } else {
                     let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !(F::ARMED && faults.drop_rfm(self.now)) {
+                    if !hooks.drop_rfm(self.now) {
                         self.unit.rfm_mitigate();
                     }
                     self.now = done;
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    }
+                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                 }
                 return true;
             }
             AboPhase::Rfm { busy_until, .. } => {
-                // Only reachable when an earlier run (per-step, or a
-                // batched run whose `end` fell mid-phase) left off inside
-                // an episode; drain it per-RFM.
+                // Only reachable when an earlier run (per-step, or an
+                // event-horizon run whose `end` fell mid-phase) left off
+                // inside an episode; drain it per-RFM.
                 let t0 = self.now;
                 let t = self.now.max(busy_until);
                 let done = self.abo.start_rfm(t).expect("chained rfm");
-                if !(F::ARMED && faults.drop_rfm(self.now)) {
+                if !hooks.drop_rfm(self.now) {
                     self.unit.rfm_mitigate();
                 }
                 self.now = done;
-                if T::ARMED {
-                    tel.on_phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                }
+                hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
                 return true;
             }
             _ => {}
@@ -877,24 +819,20 @@ impl<E: MitigationEngine> SecuritySim<E> {
             let t0 = self.now;
             self.unit.perform_ref(self.now);
             self.now += t_rfc;
-            if T::ARMED {
-                tel.on_event(t0, SimEvent::Ref);
-                tel.on_phase(SimPhase::Refresh, t0, self.now, 1);
-            }
+            hooks.event(t0, SimEvent::Ref);
+            hooks.phase(SimPhase::Refresh, t0, self.now, 1);
             return true;
         }
 
         // 3. Assert ALERT as soon as requested and permitted.
         if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-            if F::ARMED && faults.lose_alert(self.now) {
+            if hooks.lose_alert(self.now) {
                 // The assertion is lost in flight: clear the request
                 // latch; it re-arms when a counter next crosses ATH.
                 self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
             } else {
                 self.abo.assert_alert(self.now).expect("can_assert checked");
-                if T::ARMED {
-                    tel.on_event(self.now, SimEvent::Alert);
-                }
+                hooks.event(self.now, SimEvent::Alert);
             }
         }
         false
@@ -927,12 +865,12 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// the next boundary). Called only on armed paths — the disarmed
     /// build issues the whole run through the batched
     /// [`BankUnit::activate_run`] pass.
-    fn issue_run_checked<F: FaultHook>(
+    fn issue_run_checked<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
         run: &[RowId],
         promised: u64,
         t_rc: Nanos,
-        faults: &mut F,
+        hooks: &mut Hooks<F, G, T>,
     ) {
         // `u64::MAX` marks a promise-free grant (see `engine_promise`):
         // the flag may flip mid-run legitimately, so nothing to check.
@@ -945,191 +883,10 @@ impl<E: MitigationEngine> SecuritySim<E> {
             self.now += t_rc;
             let done = (i + 1) as u64;
             if !reported && done < promised && self.unit.alert_pending() {
-                faults.on_unsound_horizon(self.now, promised, done);
+                hooks.unsound_horizon(self.now, promised, done);
                 reported = true;
             }
         }
-    }
-
-    /// Runs a [`SemiScriptedAttacker`] for `duration` of virtual time (or
-    /// until it stops) — event-horizon batching for *adaptive* attackers.
-    ///
-    /// Each loop iteration hands the attacker one fresh [`DefenseView`]
-    /// snapshot and a two-tier [`RunGrant`] (the same
-    /// [`act_grant`](Self::act_grant) computation whose engine-safe tier
-    /// drives the scripted batched path); the attacker publishes its
-    /// next run against that snapshot and is only re-consulted at the
-    /// next horizon boundary. Published idle stretches batch the same
-    /// way, capped at the next REF deadline or ALERT stall point.
-    ///
-    /// Purely a host-side optimization: under the publish contract on
-    /// [`SemiScriptedAttacker`], the report is bit-identical to
-    /// [`run`](Self::run) over the equivalent per-step attacker (pinned
-    /// by the `semi_equivalence` proptests in `moat-attacks`). Like the
-    /// other modes, it can be called repeatedly and time continues.
-    pub fn run_semi_scripted<A: SemiScriptedAttacker + ?Sized>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-    ) -> SecurityReport {
-        self.run_semi_scripted_with_faults(attacker, duration, &mut NoFaults)
-    }
-
-    /// [`run_semi_scripted`](Self::run_semi_scripted) with a
-    /// [`FaultHook`] threaded through — the same injection points and
-    /// armed-run horizon checking as
-    /// [`run_batched_with_faults`](Self::run_batched_with_faults), with
-    /// the engine-guaranteed tier ([`RunGrant::alert_safe`]) as the
-    /// checked promise (engine-aware attackers may legitimately publish
-    /// past it). Disarmed ([`NoFaults`]), this is byte-for-byte the
-    /// fault-free loop.
-    pub fn run_semi_scripted_with_faults<A: SemiScriptedAttacker + ?Sized, F: FaultHook>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-    ) -> SecurityReport {
-        self.run_semi_scripted_guarded(attacker, duration, faults, &mut NoGuard)
-    }
-
-    /// [`run_semi_scripted_with_faults`](Self::run_semi_scripted_with_faults)
-    /// with a [`GuardHook`] threaded through as well — the same
-    /// inject-then-check boundary ordering as
-    /// [`run_batched_guarded`](Self::run_batched_guarded). With the
-    /// disarmed [`NoGuard`] hook this *is* the `_with_faults` loop.
-    pub fn run_semi_scripted_guarded<A, F, G>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-    ) -> SecurityReport
-    where
-        A: SemiScriptedAttacker + ?Sized,
-        F: FaultHook,
-        G: GuardHook,
-    {
-        self.run_semi_scripted_traced(attacker, duration, faults, guard, &mut NoTelemetry)
-    }
-
-    /// [`run_semi_scripted_guarded`](Self::run_semi_scripted_guarded)
-    /// with a [`TelemetryHook`] threaded through as well — the
-    /// outermost hook layer (inject → detect/repair → observe), with
-    /// the same span vocabulary as
-    /// [`run_batched_traced`](Self::run_batched_traced). With the
-    /// disarmed [`NoTelemetry`] hook this *is* the `_guarded` loop.
-    pub fn run_semi_scripted_traced<A, F, G, T>(
-        &mut self,
-        attacker: &mut A,
-        duration: Nanos,
-        faults: &mut F,
-        guard: &mut G,
-        tel: &mut T,
-    ) -> SecurityReport
-    where
-        A: SemiScriptedAttacker + ?Sized,
-        F: FaultHook,
-        G: GuardHook,
-        T: TelemetryHook,
-    {
-        let end = self.now + duration;
-        let t_rc = self.config.dram.timing.t_rc;
-        let t_rfc = self.config.dram.timing.t_rfc;
-        let mut run: Vec<RowId> = Vec::with_capacity(MAX_RUN);
-
-        while self.now < end {
-            if F::ARMED {
-                faults.at_boundary(self.now, self.unit.engine_mut());
-            }
-            if G::ARMED {
-                guard.at_boundary(self.now, &mut self.unit);
-            }
-            if T::ARMED {
-                tel.on_boundary(self.now);
-            }
-            if self.advance_defense(end, t_rfc, faults, tel) {
-                continue;
-            }
-
-            // Publish the next run against a fresh snapshot.
-            let grant = self.act_grant(end, t_rc);
-            run.clear();
-            let step = {
-                let view = DefenseView {
-                    now: self.now,
-                    unit: self.unit.as_view(),
-                    abo: &self.abo,
-                };
-                attacker.publish(&view, &mut run, grant)
-            };
-            match step {
-                SemiRun::Stop => break,
-                SemiRun::PostponeRef => {
-                    if self.unit.refresh_mut().postpone().is_err() {
-                        // Budget exhausted: burn the slot instead.
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        }
-                        self.now += t_rc;
-                    }
-                }
-                SemiRun::Idle(want) => {
-                    let n = self.idle_horizon(end, t_rc).min(want.max(1));
-                    if T::ARMED {
-                        tel.on_phase(SimPhase::Idle, self.now, self.now + t_rc * n, n);
-                    }
-                    self.now += t_rc * n;
-                }
-                SemiRun::Acts(n) => {
-                    let n = n.min(run.len()).min(grant.max);
-                    if n == 0 {
-                        break;
-                    }
-                    if grant.max > 1 {
-                        let t0 = self.now;
-                        if F::ARMED {
-                            let promised = self.engine_promise(grant.alert_safe);
-                            self.issue_run_checked(&run[..n], promised, t_rc, faults);
-                        } else {
-                            self.unit.activate_run(&run[..n], self.now, t_rc);
-                            self.abo.on_acts(n as u64);
-                            self.now += t_rc * (n as u64);
-                        }
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
-                        }
-                    } else {
-                        // Single guarded step: inside an ALERT window,
-                        // under a spacing-stalled ALERT, or with no
-                        // engine guarantee. An ACT that cannot finish
-                        // before the stall point is dropped (consumed
-                        // without landing), as in the per-step reference.
-                        let row = run[0];
-                        if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                            if self.now + t_rc > stall_at {
-                                if T::ARMED {
-                                    tel.on_phase(SimPhase::Idle, self.now, stall_at, 0);
-                                }
-                                self.now = stall_at;
-                                continue;
-                            }
-                        }
-                        let t0 = self.now;
-                        let t = self.now.max(self.unit.bank().next_ready());
-                        self.unit
-                            .activate(row, t)
-                            .expect("published row within the bank");
-                        self.abo.on_act();
-                        self.now = t + t_rc;
-                        if T::ARMED {
-                            tel.on_phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                        }
-                    }
-                }
-            }
-        }
-
-        self.report()
     }
 
     /// How many idle slots (tRC each) are provably event-free from
@@ -1464,8 +1221,8 @@ mod tests {
 
     #[test]
     fn batched_hammer_matches_per_step() {
-        // The event-horizon batched path is a host-side optimization
-        // only: bit-identical reports to the per-step reference.
+        // The event-horizon loop is a host-side optimization only:
+        // bit-identical reports to the per-step reference.
         for millis in [1u64, 4] {
             let mut per_step = moat_sim();
             let expect = per_step.run(
@@ -1473,7 +1230,8 @@ mod tests {
                 Nanos::from_millis(millis),
             );
             let mut batched = moat_sim();
-            let got = batched.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(millis));
+            let got =
+                batched.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(millis));
             assert_eq!(got, expect, "{millis} ms");
             assert!(got.alerts > 0, "the comparison must exercise episodes");
         }
@@ -1488,7 +1246,7 @@ mod tests {
             Nanos::from_millis(2),
         );
         let mut batched = moat_sim();
-        let got = batched.run_batched(&mut round_robin_attacker(rows), Nanos::from_millis(2));
+        let got = batched.run_semi_scripted(&mut round_robin_attacker(rows), Nanos::from_millis(2));
         assert_eq!(got, expect);
         assert!(expect.refs > 0 && expect.alerts > 0);
     }
@@ -1499,8 +1257,9 @@ mod tests {
         // splitting at the same instants, a batched pair of runs matches
         // a per-step pair, and the two modes can trade off mid-attack.
         let mut batched = moat_sim();
-        batched.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
-        let batched_report = batched.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        batched.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
+        let batched_report =
+            batched.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         let mut per_step = moat_sim();
         per_step.run(
             &mut Scripted::new(hammer_attacker(77)),
@@ -1513,7 +1272,7 @@ mod tests {
         assert_eq!(batched_report, per_step_report);
         // And a mode switch mid-attack stays on the same trajectory.
         let mut mixed = moat_sim();
-        mixed.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        mixed.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         let mixed_report = mixed.run(
             &mut Scripted::new(hammer_attacker(77)),
             Nanos::from_millis(1),
@@ -1523,8 +1282,8 @@ mod tests {
 
     #[test]
     fn batched_run_stops_at_script_end() {
-        // A finite script ends the batched run early, exactly like an
-        // adaptive attacker returning Stop.
+        // A finite script ends the event-horizon run early, exactly like
+        // an adaptive attacker returning Stop.
         #[derive(Debug)]
         struct Finite(u64, RowId);
         impl ScriptedAttacker for Finite {
@@ -1536,7 +1295,8 @@ mod tests {
             }
         }
         let mut batched = moat_sim();
-        let got = batched.run_batched(&mut Finite(1000, RowId::new(9)), Nanos::from_millis(50));
+        let got =
+            batched.run_semi_scripted(&mut Finite(1000, RowId::new(9)), Nanos::from_millis(50));
         let mut per_step = moat_sim();
         let expect = per_step.run(
             &mut Scripted::new(Finite(1000, RowId::new(9))),
@@ -1556,7 +1316,7 @@ mod tests {
     #[test]
     fn batched_hammer_matches_per_step_for_panopticon() {
         // The Panopticon-family horizon (queue threshold distance) keeps
-        // the batched path exact for both variants, including overflow
+        // the event-horizon loop exact for both variants, including overflow
         // ALERTs and drain-on-REF episodes.
         use moat_trackers::{PanopticonConfig, PanopticonEngine};
         for pano in [
@@ -1571,7 +1331,8 @@ mod tests {
                 Nanos::from_millis(4),
             );
             let mut batched = mk();
-            let got = batched.run_batched(&mut hammer_attacker(20_000), Nanos::from_millis(4));
+            let got =
+                batched.run_semi_scripted(&mut hammer_attacker(20_000), Nanos::from_millis(4));
             assert_eq!(got, expect, "drain_on_ref={}", pano.drain_on_ref);
             assert!(expect.refs > 0);
         }
@@ -1598,7 +1359,7 @@ mod tests {
             Nanos::from_millis(3),
         );
         let mut batched = mk();
-        let got = batched.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(3));
+        let got = batched.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(3));
         assert_eq!(got, expect);
         assert!(got.alerts > 10, "episodes must be exercised");
     }
@@ -1606,7 +1367,7 @@ mod tests {
     #[test]
     fn batched_moat_bound_matches_per_step_invariant() {
         let mut sim = moat_sim();
-        let report = sim.run_batched(&mut hammer_attacker(10_000), Nanos::from_millis(2));
+        let report = sim.run_semi_scripted(&mut hammer_attacker(10_000), Nanos::from_millis(2));
         assert!(report.alerts > 0);
         assert!(
             report.max_pressure <= 64 + 5,
@@ -1798,9 +1559,12 @@ mod tests {
             Nanos::from_millis(1),
         );
         assert_eq!(semi_report, per_step_report);
-        // All three modes interleave on the same trajectory.
+        // The two loops interleave on the same trajectory.
         let mut mixed = moat_sim();
-        mixed.run_batched(&mut hammer_attacker(77), Nanos::from_millis(1));
+        mixed.run(
+            &mut Scripted::new(hammer_attacker(77)),
+            Nanos::from_millis(1),
+        );
         let mixed_report = mixed.run_semi_scripted(&mut hammer_attacker(77), Nanos::from_millis(1));
         assert_eq!(mixed_report, per_step_report);
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of the simulators: conservation laws, the MOAT
 //! security invariant under randomized adaptive attackers, and the
-//! equivalence of the event-horizon batched security path with the
-//! per-step reference.
+//! equivalence of the event-horizon security loop with the per-step
+//! reference.
 
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{AboLevel, BankId, Nanos, RowId};
@@ -12,7 +12,8 @@ use moat_sim::{
 use proptest::prelude::*;
 
 /// A finite scripted kernel: cycle over a row pattern for a fixed number
-/// of activations — the non-adaptive shape `run_batched` accelerates.
+/// of activations — the non-adaptive shape the event-horizon loop
+/// batches through the blanket `SemiScriptedAttacker` impl.
 #[derive(Debug, Clone)]
 struct PatternScript {
     rows: Vec<RowId>,
@@ -221,7 +222,7 @@ proptest! {
         let mut per_step = SecuritySim::new(cfg, engine());
         let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
         let mut batched = SecuritySim::new(cfg, engine());
-        let got = batched.run_batched(&mut script.clone(), duration);
+        let got = batched.run_semi_scripted(&mut script.clone(), duration);
         prop_assert_eq!(got, expect);
     }
 
@@ -263,7 +264,7 @@ proptest! {
         let mut per_step = SecuritySim::new(cfg, PanopticonEngine::new(pano));
         let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
         let mut batched = SecuritySim::new(cfg, PanopticonEngine::new(pano));
-        let got = batched.run_batched(&mut script.clone(), duration);
+        let got = batched.run_semi_scripted(&mut script.clone(), duration);
         prop_assert_eq!(got, expect);
     }
 
@@ -298,7 +299,7 @@ proptest! {
                 let mut per_step = SecuritySim::new(cfg, (variant.build)());
                 let expect = per_step.run(&mut Scripted::new(script.clone()), duration);
                 let mut batched = SecuritySim::new(cfg, (variant.build)());
-                let got = batched.run_batched(&mut script.clone(), duration);
+                let got = batched.run_semi_scripted(&mut script.clone(), duration);
                 prop_assert_eq!(got, expect, "{}/{}", spec.name, variant.label);
             }
         }

@@ -1,14 +1,13 @@
 //! Telemetry's read-only contract, pinned: arming a [`Tracer`] on any
-//! simulation path — per-step, batched, or semi-scripted, on either
-//! engine family — must not change a single bit of the report the
+//! simulation path — the per-step loop or the event-horizon loop, on
+//! either engine family — must not change a single bit of the report the
 //! disarmed path produces, and two armed runs of the same cell must
 //! render the same telemetry artifact byte for byte.
 
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::Nanos;
 use moat_sim::{
-    hammer_attacker, NoFaults, NoGuard, PerfConfig, PerfSim, Request, Scripted, SecurityConfig,
-    SecuritySim,
+    hammer_attacker, Hooks, PerfConfig, PerfSim, Request, Scripted, SecurityConfig, SecuritySim,
 };
 use moat_telemetry::{TelemetryLevel, TelemetrySink, Tracer};
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
@@ -36,12 +35,10 @@ fn armed_tracer_never_changes_the_security_report() {
     // Per-step, MOAT and Panopticon.
     let baseline = moat_sim().run(&mut Scripted::new(hammer_attacker(30_000)), DURATION);
     let mut tracer = Tracer::full();
-    let traced = moat_sim().run_traced(
+    let traced = moat_sim().run_with(
         &mut Scripted::new(hammer_attacker(30_000)),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut tracer,
+        Hooks::default().telemetry(&mut tracer),
     );
     assert_eq!(
         baseline, traced,
@@ -51,64 +48,31 @@ fn armed_tracer_never_changes_the_security_report() {
     assert!(tracer.profile().total_ns() > 0, "no time was attributed");
 
     let baseline = pano_sim().run(&mut Scripted::new(hammer_attacker(30_000)), DURATION);
-    let traced = pano_sim().run_traced(
+    let traced = pano_sim().run_with(
         &mut Scripted::new(hammer_attacker(30_000)),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        Hooks::default().telemetry(Tracer::full()),
     );
     assert_eq!(
         baseline, traced,
         "per-step/pano report changed under tracing"
     );
 
-    // Batched, both engines.
-    let baseline = moat_sim().run_batched(&mut hammer_attacker(30_000), DURATION);
-    let traced = moat_sim().run_batched_traced(
-        &mut hammer_attacker(30_000),
-        DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
-    );
-    assert_eq!(
-        baseline, traced,
-        "batched/moat report changed under tracing"
-    );
-
-    let baseline = pano_sim().run_batched(&mut hammer_attacker(30_000), DURATION);
-    let traced = pano_sim().run_batched_traced(
-        &mut hammer_attacker(30_000),
-        DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
-    );
-    assert_eq!(
-        baseline, traced,
-        "batched/pano report changed under tracing"
-    );
-
-    // Semi-scripted (scripted attackers ride the blanket impl), both
-    // engines.
+    // Event-horizon loop (scripted attackers ride the blanket impl),
+    // both engines.
     let baseline = moat_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
-    let traced = moat_sim().run_semi_scripted_traced(
+    let traced = moat_sim().run_semi_scripted_with(
         &mut hammer_attacker(30_000),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        Hooks::default().telemetry(Tracer::full()),
     );
     assert_eq!(baseline, traced, "semi/moat report changed under tracing");
 
     let baseline = pano_sim().run_semi_scripted(&mut hammer_attacker(30_000), DURATION);
-    let traced = pano_sim().run_semi_scripted_traced(
+    let traced = pano_sim().run_semi_scripted_with(
         &mut hammer_attacker(30_000),
         DURATION,
-        &mut NoFaults,
-        &mut NoGuard,
-        &mut Tracer::full(),
+        Hooks::default().telemetry(Tracer::full()),
     );
     assert_eq!(baseline, traced, "semi/pano report changed under tracing");
 }
@@ -145,12 +109,10 @@ fn armed_tracer_never_changes_the_perf_report() {
 fn armed_renders_are_bit_identical_across_runs() {
     let trace_once = || {
         let mut tracer = Tracer::new(TelemetryLevel::Full);
-        moat_sim().run_batched_traced(
+        moat_sim().run_semi_scripted_with(
             &mut hammer_attacker(30_000),
             DURATION,
-            &mut NoFaults,
-            &mut NoGuard,
-            &mut tracer,
+            Hooks::default().telemetry(&mut tracer),
         );
         tracer
     };

@@ -5,9 +5,10 @@
 //! from `moat-sim`: the simulators are generic over `T: TelemetryHook`
 //! and guard every call with `if T::ARMED { ... }`. With
 //! [`NoTelemetry`] the branches constant-fold away, so the disarmed
-//! loops compile to exactly the uninstrumented code. Hook ordering at a
-//! boundary is fault → guard → telemetry: telemetry observes the
-//! settled, post-repair state and must never mutate the simulation.
+//! loops compile to exactly the uninstrumented code. In the security
+//! simulator the hook is the telemetry layer of `moat-sim`'s `Hooks`
+//! stack, which states where it runs in a boundary; it observes and must
+//! never mutate the simulation.
 
 use moat_dram::Nanos;
 
@@ -127,6 +128,24 @@ pub struct NoTelemetry;
 
 impl TelemetryHook for NoTelemetry {
     const ARMED: bool = false;
+}
+
+/// A lent hook: the simulators can hold `&mut tracer`, and the caller
+/// keeps the tracer (and what it recorded) after the run.
+impl<T: TelemetryHook> TelemetryHook for &mut T {
+    const ARMED: bool = T::ARMED;
+
+    fn on_boundary(&mut self, now: Nanos) {
+        (**self).on_boundary(now);
+    }
+
+    fn on_event(&mut self, now: Nanos, event: SimEvent) {
+        (**self).on_event(now, event);
+    }
+
+    fn on_phase(&mut self, phase: SimPhase, start: Nanos, end: Nanos, units: u64) {
+        (**self).on_phase(phase, start, end, units);
+    }
 }
 
 #[cfg(test)]

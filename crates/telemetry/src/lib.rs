@@ -12,11 +12,10 @@
 //! Three pillars:
 //!
 //! * [`TelemetryHook`] — the tracing seam. It rides the same
-//!   event-horizon boundaries as the fault and guard hooks
-//!   (`FaultHook`/`GuardHook` in `moat-sim`), in hook order
-//!   fault → guard → telemetry: faults inject, the guard
-//!   detects/repairs, and only then does telemetry observe the settled
-//!   state. [`NoTelemetry`] is the disarmed unit type; its `ARMED =
+//!   event-horizon boundaries as the fault and guard hooks, as the
+//!   telemetry layer of `moat-sim`'s `Hooks` stack, which orders the
+//!   layers; telemetry observes the settled state and never mutates it.
+//!   [`NoTelemetry`] is the disarmed unit type; its `ARMED =
 //!   false` constant folds every instrumentation branch away, so the
 //!   disarmed simulators stay bit-identical to (and as fast as) the
 //!   uninstrumented build.

@@ -7,7 +7,7 @@
 //! crate records those streams **once** into a compact binary format and
 //! replays them **zero-copy** out of a memory map forever after:
 //!
-//! * [`format`] — trace format v2: a 48-byte header (magic, version,
+//! * [`format`](mod@format) — trace format v2: a 48-byte header (magic, version,
 //!   config/seed fingerprint, record count, checksum) plus 16-byte
 //!   fixed-width records, with the streaming [`TraceWriter`].
 //! * [`reader`] — the validated [`TraceFile`] (mmap-backed) and its
