@@ -37,7 +37,8 @@ pub struct Request {
 ///
 /// Large enough to amortize the per-chunk bookkeeping and give the issue
 /// loop a deep prefetch window, small enough that a chunk of `Request`s
-/// (12 bytes each) stays within L1.
+/// (16 bytes each, the `u64` gap's alignment padding included: 16 KiB
+/// per chunk) stays within L1.
 pub const DEFAULT_CHUNK: usize = 1024;
 
 /// A source of requests (workload generators implement this).

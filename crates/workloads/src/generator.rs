@@ -26,9 +26,12 @@ use crate::profiles::WorkloadProfile;
 /// (developer checkouts, the persisted CI cache) would silently replay
 /// the pre-change streams. The unit test
 /// `emitted_streams_match_pinned_digests` pins digests of a few emitted
-/// streams to this version: a change that keeps it green (a faster
-/// queue, say) keeps the version; one that breaks it bumps the version
-/// and the digests together.
+/// streams to this version, among them a 32-bank stream whose
+/// same-nanosecond ties across banks fall to the planning index; an
+/// ignored test, run in release by CI, pins the paper-scale cactuBSSN
+/// stream. A change that keeps them green (the two-stage emission queue,
+/// say) keeps the version; one that breaks them bumps the version and the
+/// digests together.
 pub const GENERATOR_VERSION: u32 = 1;
 
 /// Aggregate instruction rate of the paper's 8-core 4 GHz system at an
@@ -104,10 +107,13 @@ const BUCKETS: usize = 97;
 /// hold memory the stream may never need again.
 const KEPT_CAPACITY: usize = 1024;
 
-/// A monotone radix heap of campaigns. It pops in ascending
-/// `(time, index)` order — the order a `BinaryHeap<Reverse<(time,
-/// index)>>` pops — as long as no push precedes the last pop, which holds
-/// here: a campaign is re-pushed at `time + interval`.
+/// A monotone radix heap of campaigns: the first stage of the
+/// [`EmissionQueue`], which orders each campaign's *first* activation.
+/// Planning pushes every campaign once and emission pops each once. It
+/// pops in ascending `(time, index)` order — the order a
+/// `BinaryHeap<Reverse<(time, index)>>` pops — as long as no push
+/// precedes the last pop, which holds here: the heap receives no push
+/// after its first pop.
 ///
 /// Bucket `b > 0` holds the keys whose highest bit differing from the
 /// last popped key is bit `b - 1`. A pop takes the minimum of the lowest
@@ -185,6 +191,270 @@ impl CampaignQueue {
     }
 }
 
+/// Width of a follow-up slice, in bits of time: 4096 ns.
+///
+/// A slice is sorted as one batch, whose fixed cost is two passes over 64
+/// counting bins. A slice holds ~1.1 k activations of cactuBSSN at paper
+/// density (32 banks) and ~50 of roms at 2 banks, so a narrower slice
+/// would spend the bins on too few activations at low density; a wider one
+/// would need a third counting pass or bigger bins, and a bigger batch to
+/// keep in cache. Every hot follow-up interval at the paper's tREFW is
+/// ≥ 10 µs, longer than a slice, so each follow-up there is filed once.
+const SLICE_BITS: u32 = 12;
+
+/// Bits of a slice offset that one counting pass sorts on.
+const DIGIT_BITS: u32 = SLICE_BITS / 2;
+
+/// One activation of the slice being emitted.
+#[derive(Debug, Clone, Copy, Default)]
+struct Event {
+    /// Nanoseconds past the slice's start.
+    offset: u16,
+    bank: u16,
+    /// The campaign's planning index: orders events due at one instant.
+    index: u32,
+    row: u32,
+}
+
+impl Event {
+    /// The sort key: `offset` above `index`.
+    fn key(&self) -> u64 {
+        u64::from(self.offset) << 32 | u64::from(self.index)
+    }
+}
+
+/// The second stage of the [`EmissionQueue`]: a calendar of campaigns,
+/// filed by the slice of their next activation. It has one 24-byte slot
+/// per slice of the stream, 188 KB per 32-ms tREFW.
+#[derive(Debug, Default)]
+struct FollowUps {
+    /// `slices[s]` holds the campaigns next due at a time `t` with
+    /// `t >> SLICE_BITS == s`.
+    slices: Vec<Vec<Campaign>>,
+    /// Emptied slice buffers. Every slice draws from and returns to this
+    /// one pool: a buffer kept in its slice would retain that slice's peak,
+    /// one entry per follow-up of the whole stream.
+    pool: Vec<Vec<Campaign>>,
+    /// One past the last slice filed into since the last plan.
+    end: usize,
+}
+
+impl FollowUps {
+    /// Files `campaign` under the slice of its next activation.
+    fn file(&mut self, campaign: Campaign) {
+        let s = (campaign.time >> SLICE_BITS) as usize;
+        if s >= self.slices.len() {
+            self.slices.resize_with(s + 1, Vec::new);
+        }
+        let slice = &mut self.slices[s];
+        if slice.capacity() == 0 {
+            *slice = self.pool.pop().unwrap_or_default();
+        }
+        slice.push(campaign);
+        self.end = self.end.max(s + 1);
+    }
+
+    /// Returns the buffers of slices `from..` to the pool, leaving the
+    /// calendar empty if every slice before `from` is.
+    fn clear(&mut self, from: usize) {
+        for slice in self.slices.iter_mut().take(self.end).skip(from) {
+            if slice.capacity() > 0 {
+                slice.clear();
+                self.pool.push(std::mem::take(slice));
+            }
+        }
+        self.end = 0;
+    }
+
+    /// Appends the activations `campaign` has due in the slice starting at
+    /// `base` to `events`, then files it under the slice of its next one,
+    /// if it has one.
+    fn expand(&mut self, mut campaign: Campaign, base: u64, events: &mut Vec<Event>) {
+        let slice_end = base + (1 << SLICE_BITS);
+        loop {
+            events.push(Event {
+                offset: (campaign.time - base) as u16,
+                bank: campaign.bank,
+                index: campaign.index,
+                row: campaign.row,
+            });
+            campaign.remaining -= 1;
+            if campaign.remaining == 0 {
+                return;
+            }
+            campaign.time += campaign.interval;
+            if campaign.time >= slice_end {
+                self.file(campaign);
+                return;
+            }
+        }
+    }
+}
+
+/// The most events a slice sorts by insertion alone: fewer than clearing
+/// and summing the counting passes' 128 bins costs.
+const INSERTION_MAX: usize = 32;
+
+/// Sorts one slice's events by `(offset, index)`. Above [`INSERTION_MAX`]
+/// events, two stable counting passes on the offset, low digit first,
+/// come before the insertion pass, which then only orders equal offsets
+/// by index. Equal offsets are rare (campaigns due at one nanosecond), so
+/// that pass mostly compares neighbours.
+fn sort_events(events: &mut [Event], scratch: &mut Vec<Event>) {
+    if events.len() > INSERTION_MAX {
+        sort_by_offset(events, scratch);
+    }
+    for i in 1..events.len() {
+        let e = events[i];
+        let mut j = i;
+        while j > 0 && events[j - 1].key() > e.key() {
+            events[j] = events[j - 1];
+            j -= 1;
+        }
+        events[j] = e;
+    }
+}
+
+/// Stable-sorts `events` by offset: two counting passes of [`DIGIT_BITS`].
+fn sort_by_offset(events: &mut [Event], scratch: &mut Vec<Event>) {
+    const BINS: usize = 1 << DIGIT_BITS;
+    let digit = |e: &Event, shift: u32| usize::from(e.offset >> shift) & (BINS - 1);
+    // Per digit value, the next position it sorts to: counts at first.
+    let mut slots = [[0usize; BINS]; 2];
+    for e in events.iter() {
+        slots[0][digit(e, 0)] += 1;
+        slots[1][digit(e, DIGIT_BITS)] += 1;
+    }
+    for bins in &mut slots {
+        let mut sum = 0;
+        for bin in bins.iter_mut() {
+            (*bin, sum) = (sum, sum + *bin);
+        }
+    }
+    if scratch.len() < events.len() {
+        scratch.resize(events.len(), Event::default());
+    }
+    let scratch = &mut scratch[..events.len()];
+    for &e in events.iter() {
+        let at = &mut slots[0][digit(&e, 0)];
+        scratch[*at] = e;
+        *at += 1;
+    }
+    for &e in scratch.iter() {
+        let at = &mut slots[1][digit(&e, DIGIT_BITS)];
+        events[*at] = e;
+        *at += 1;
+    }
+}
+
+/// The stream's emission queue, in two stages. A [`CampaignQueue`] orders
+/// each campaign's first activation; [`FollowUps`] orders every later one
+/// by 4096-ns slice ([`SLICE_BITS`]). The stream emits one slice at a time:
+/// it pops the starts due in the slice and takes the campaigns filed under
+/// it, expands each into its activations until the next one leaves the
+/// slice (a later slice, so a slice is complete when it is expanded), and
+/// sorts them. The result is the `(time, index)` order of one
+/// `BinaryHeap<Reverse<(time, index)>>` over all campaigns.
+///
+/// Starts stay in the heap, pushed once at planning and popped as their
+/// slice comes due, because a stream may be read only in part: a fleet
+/// tenant takes 512 activations of a freshly planned stream, and pops only
+/// the starts it reaches. Filing every start in a slice at planning would
+/// touch every slice of the plan.
+#[derive(Debug, Default)]
+struct EmissionQueue {
+    starts: CampaignQueue,
+    /// The least start not yet expanded, popped ahead so the next slice
+    /// due is known.
+    next_start: Option<Campaign>,
+    follow_ups: FollowUps,
+    /// The slice after the one being emitted.
+    next_slice: usize,
+    /// Start time of the slice being emitted.
+    base: u64,
+    /// Its events in `(time, index)` order, and the next one to emit.
+    events: Vec<Event>,
+    next_event: usize,
+    /// The counting sort's second buffer (its length only grows).
+    scratch: Vec<Event>,
+}
+
+impl EmissionQueue {
+    /// Empties the queue for a fresh plan, keeping its buffers: filed
+    /// slices return theirs to the pool, and only the slices used since
+    /// the last plan are touched.
+    fn clear(&mut self) {
+        self.starts.clear();
+        self.next_start = None;
+        self.follow_ups.clear(self.next_slice);
+        self.next_slice = 0;
+        self.events.clear();
+        self.next_event = 0;
+    }
+
+    /// Emits the earliest due activation, timed from `last_time`: the next
+    /// event of the current slice, which is first replaced by the next due
+    /// slice when spent.
+    #[inline]
+    fn emit(&mut self, last_time: &mut u64) -> Option<Request> {
+        if self.next_event == self.events.len() && !self.advance() {
+            return None;
+        }
+        let event = self.events[self.next_event];
+        self.next_event += 1;
+        let time = self.base + u64::from(event.offset);
+        let request = Request {
+            gap: Nanos::new(time.saturating_sub(*last_time)),
+            bank: BankId::new(event.bank),
+            row: RowId::new(event.row),
+        };
+        *last_time = time;
+        Some(request)
+    }
+
+    /// Makes the earliest slice with an activation due the current one, its
+    /// events sorted. Returns `false` when no activation is left.
+    fn advance(&mut self) -> bool {
+        if self.next_start.is_none() {
+            self.next_start = self.starts.pop();
+        }
+        let start_slice = self
+            .next_start
+            .map_or(usize::MAX, |c| (c.time >> SLICE_BITS) as usize);
+        let filed_end = self.follow_ups.end.min(start_slice);
+        let mut s = self.next_slice;
+        while s < filed_end && self.follow_ups.slices[s].is_empty() {
+            s += 1;
+        }
+        if s >= filed_end {
+            s = start_slice;
+        }
+        if s == usize::MAX {
+            return false;
+        }
+        let base = (s as u64) << SLICE_BITS;
+        self.events.clear();
+        while let Some(start) = self.next_start.filter(|c| c.time >> SLICE_BITS == s as u64) {
+            self.follow_ups.expand(start, base, &mut self.events);
+            self.next_start = self.starts.pop();
+        }
+        if let Some(slice) = self.follow_ups.slices.get_mut(s) {
+            let mut filed = std::mem::take(slice);
+            for campaign in filed.drain(..) {
+                self.follow_ups.expand(campaign, base, &mut self.events);
+            }
+            if filed.capacity() > 0 {
+                self.follow_ups.pool.push(filed);
+            }
+        }
+        sort_events(&mut self.events, &mut self.scratch);
+        self.next_slice = s + 1;
+        self.base = base;
+        self.next_event = 0;
+        true
+    }
+}
+
 /// The merged, time-ordered activation stream for one workload.
 ///
 /// # Examples
@@ -207,7 +477,7 @@ impl CampaignQueue {
 /// plans it.
 #[derive(Debug, Default)]
 pub struct WorkloadStream {
-    queue: CampaignQueue,
+    queue: EmissionQueue,
     last_time: u64,
     total_emitted: u64,
 }
@@ -228,7 +498,7 @@ impl WorkloadStream {
     }
 
     /// Discards whatever this stream still holds and plans it afresh,
-    /// exactly as [`new`](Self::new) would, reusing the campaign queue's
+    /// exactly as [`new`](Self::new) would, reusing the emission queue's
     /// buffers. Callers that build many streams in turn (a fleet shard's
     /// tenants) re-plan one stream instead of allocating each queue anew.
     ///
@@ -264,7 +534,7 @@ impl WorkloadStream {
                     trefw_ns,
                     &mut rng,
                     &mut used,
-                    &mut self.queue,
+                    &mut self.queue.starts,
                     &mut planned,
                 );
             }
@@ -387,36 +657,17 @@ impl WorkloadStream {
     }
 }
 
-/// Emits the earliest due activation, timed from `last_time`, and
-/// re-queues its campaign's next one.
-#[inline]
-fn emit(queue: &mut CampaignQueue, last_time: &mut u64) -> Option<Request> {
-    let mut c = queue.pop()?;
-    let request = Request {
-        gap: Nanos::new(c.time.saturating_sub(*last_time)),
-        bank: BankId::new(c.bank),
-        row: RowId::new(c.row),
-    };
-    *last_time = c.time;
-    c.remaining -= 1;
-    if c.remaining > 0 {
-        c.time += c.interval;
-        queue.push(c);
-    }
-    Some(request)
-}
-
 impl RequestStream for WorkloadStream {
     fn next_request(&mut self) -> Option<Request> {
-        let request = emit(&mut self.queue, &mut self.last_time)?;
+        let request = self.queue.emit(&mut self.last_time)?;
         self.total_emitted += 1;
         Some(request)
     }
 
-    /// Batched generation: one merged pass over the campaign queue per
-    /// chunk, with the arrival clock and emission counter held in locals
-    /// instead of being written back through `&mut self` per request.
-    /// Yields exactly the sequence repeated
+    /// Batched generation: one pass over the emission queue per chunk,
+    /// with the arrival clock and emission counter held in locals instead
+    /// of being written back through `&mut self` per request. Yields
+    /// exactly the sequence repeated
     /// [`next_request`](RequestStream::next_request) calls would (pinned
     /// by the `chunk_equivalence` proptest).
     fn next_chunk(&mut self, buf: &mut Vec<Request>) -> usize {
@@ -427,7 +678,7 @@ impl RequestStream for WorkloadStream {
         let cap = buf.capacity();
         let mut last_time = self.last_time;
         while buf.len() < cap {
-            let Some(request) = emit(&mut self.queue, &mut last_time) else {
+            let Some(request) = self.queue.emit(&mut last_time) else {
                 break;
             };
             buf.push(request);
@@ -532,7 +783,6 @@ mod tests {
     /// recordings. These digests pin version 1's streams.
     #[test]
     fn emitted_streams_match_pinned_digests() {
-        const PINNED_VERSION: u32 = 1;
         let paper = DramConfig::paper_baseline();
         let small = DramConfig::builder().rows_per_bank(16_384).build();
         // 1000 rows leave the row bitset's last word partial, and wrf fills
@@ -552,12 +802,45 @@ mod tests {
             ),
             ("x264", paper, 2, 2, 1, 62_381, 0xcaf8_0e0a_af66_45ad),
             ("wrf", partial_word, 2, 2, 5, 109_545, 0x85bd_ed1d_8361_295f),
+            // 32 banks: 11,303 requests share their nanosecond with the one
+            // before, mostly across banks, so ties order by planning index.
+            ("gcc", paper, 32, 1, 3, 779_460, 0x3d57_72a3_053c_2398),
         ];
+        assert_pinned(&pinned);
+    }
+
+    /// cactuBSSN at paper scale, seeded as `repro --full` seeds it: the
+    /// densest stream the emission queue serves (17.6 M requests). Too
+    /// slow for a debug build.
+    #[test]
+    #[ignore = "paper scale: CI runs it in release"]
+    fn paper_scale_stream_matches_pinned_digest() {
+        let paper = DramConfig::paper_baseline();
+        let GeneratorConfig {
+            banks,
+            windows,
+            seed,
+        } = GeneratorConfig::paper_scale();
+        assert_pinned(&[(
+            "cactuBSSN",
+            paper,
+            banks,
+            windows,
+            seed,
+            17_609_751,
+            0x13ac_63fa_56c0_9931,
+        )]);
+    }
+
+    /// Checks each `(profile, dram, banks, windows, seed, count, digest)`
+    /// against [`stream_digest`].
+    fn assert_pinned(pinned: &[(&str, DramConfig, u16, u32, u64, u64, u64)]) {
+        const PINNED_VERSION: u32 = 1;
         assert_eq!(
             GENERATOR_VERSION, PINNED_VERSION,
             "GENERATOR_VERSION changed: re-pin these digests to the new version's streams"
         );
-        for (name, dram, banks, windows, seed, count, digest) in pinned {
+        for &(name, dram, banks, windows, seed, count, digest) in pinned {
             let config = GeneratorConfig {
                 banks,
                 windows,
@@ -603,6 +886,20 @@ mod tests {
                 .next_request()
                 .expect("x264 emits 62k requests");
         }
+        // 32 banks, stopped a fifth of the way into its window: campaigns
+        // mid-burst, campaigns not yet started, and a slice of the emission
+        // queue part-emitted.
+        let wide = GeneratorConfig {
+            banks: 32,
+            windows: 1,
+            seed: 1,
+        };
+        let mut wide_partly_drained = WorkloadStream::new(profile("x264"), &paper, wide);
+        for _ in 0..100_001 {
+            wide_partly_drained
+                .next_request()
+                .expect("x264 on 32 banks emits 500k requests");
+        }
         let mut drained = WorkloadStream::new(profile("gcc"), &paper, config);
         drain(&mut drained);
         let mut half_planned = WorkloadStream::default();
@@ -612,13 +909,14 @@ mod tests {
         }));
         assert!(panic.is_err(), "cactuBSSN needs more than 4096 rows");
         assert_ne!(
-            half_planned.queue.occupied, 0,
+            half_planned.queue.starts.occupied, 0,
             "the panic left campaigns queued"
         );
 
         let cases = [
             ("default", WorkloadStream::default()),
             ("partly drained x264", partly_drained),
+            ("partly drained 32-bank x264", wide_partly_drained),
             ("fully drained", drained),
             ("half-planned", half_planned),
         ];
@@ -673,6 +971,67 @@ mod tests {
         })
     }
 
+    /// The paper's tREFW in ns, the window the test campaigns start in.
+    const TREFW_NS: u64 = 32_000_000;
+
+    /// Campaign `index`, decoded from three codes (the proptest shim has no
+    /// `prop_oneof`). It starts in one of three windows, in one of four
+    /// slices there, at offset 0 (a slice boundary), 1, 4095 or a random
+    /// one, so many campaigns share a start. The interval is the 52-ns
+    /// floor, below it, 4095, 4096 or 4097 ns, a random one up to ~4 µs,
+    /// a multiple of 4096 ns, or far above a slice. One campaign in four
+    /// activates once.
+    fn test_campaign(index: u32, (start, interval, acts): (u64, u64, u32)) -> Campaign {
+        let (window, slice, kind, random) = (start % 3, start / 3 % 4, start / 12 % 4, start / 48);
+        let first_slice = ((window * TREFW_NS) >> SLICE_BITS) + slice;
+        let offset = [0, 1, 4095, random][kind as usize];
+        let random = interval / 8;
+        Campaign {
+            time: first_slice << SLICE_BITS | offset,
+            interval: [
+                52,
+                random % 52,
+                4095,
+                4096,
+                4097,
+                52 + random,
+                4096 * (1 + random % 4),
+                100_000 + random * 1000,
+            ][(interval % 8) as usize],
+            index,
+            row: index,
+            remaining: if acts < 16 { 1 } else { acts * 5 },
+            bank: index as u16 % 32,
+        }
+    }
+
+    /// The reference emission loop, the two-stage queue's oracle: every
+    /// campaign in one `BinaryHeap<Reverse<(time, index)>>`, re-pushed at
+    /// `time + interval` after each activation.
+    fn heap_emission(mut campaigns: Vec<Campaign>) -> Vec<Request> {
+        let mut heap: BinaryHeap<_> = campaigns
+            .iter()
+            .map(|c| Reverse((c.time, c.index)))
+            .collect();
+        let mut last_time = 0;
+        let mut requests = Vec::new();
+        while let Some(Reverse((time, index))) = heap.pop() {
+            let c = &mut campaigns[index as usize];
+            requests.push(Request {
+                gap: Nanos::new(time - last_time),
+                bank: BankId::new(c.bank),
+                row: RowId::new(c.row),
+            });
+            last_time = time;
+            c.remaining -= 1;
+            if c.remaining > 0 {
+                c.time += c.interval;
+                heap.push(Reverse((c.time, index)));
+            }
+        }
+        requests
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -715,6 +1074,35 @@ mod tests {
                 prop_assert_eq!(popped(queue.pop()), Some(want));
             }
             prop_assert!(queue.pop().is_none());
+        }
+
+        /// Over random campaign sets (see [`test_campaign`]), the two-stage
+        /// queue emits request by request what the reference heap loop
+        /// emits, through single pulls and then chunks.
+        #[test]
+        fn two_stage_queue_emits_in_heap_order(
+            codes in prop::collection::vec(
+                (0u64..3 * 4 * 4 * 4096, 0u64..8 * 4096, 0u32..64),
+                1..300,
+            ),
+            singles in 0usize..3000,
+            cap in 1usize..300,
+        ) {
+            let campaigns: Vec<Campaign> =
+                (0..).zip(codes).map(|(i, c)| test_campaign(i, c)).collect();
+            let mut stream = WorkloadStream::default();
+            for &c in &campaigns {
+                stream.queue.starts.push(c);
+            }
+            let mut emitted: Vec<Request> =
+                std::iter::from_fn(|| stream.next_request()).take(singles).collect();
+            let mut chunk = Vec::with_capacity(cap);
+            while stream.next_chunk(&mut chunk) > 0 {
+                emitted.extend_from_slice(&chunk);
+            }
+            let expected = heap_emission(campaigns);
+            prop_assert_eq!(stream.emitted(), expected.len() as u64);
+            prop_assert!(emitted == expected, "the two-stage queue left the heap order");
         }
     }
 
