@@ -11,8 +11,10 @@
 //!    boxed dynamic-dispatch form and the unbatched per-request reference,
 //! 4. `request_gen/*` — `WorkloadStream` generation through the batched
 //!    `next_chunk` front-end versus per-request pulls,
-//! 5. `work_queue/*` — the rayon shim's chunked lock-free queue versus
-//!    the retired per-index-mutex queue, at a pinned worker count,
+//! 5. `work_queue/chunked_lock_free` — the rayon shim's chunked
+//!    lock-free queue at a pinned worker count (README §Simulator
+//!    performance item 6 keeps its last ratio to the retired
+//!    per-index-mutex queue),
 //! 6. `security_step/*` — the security simulator's per-step priority
 //!    match versus the event-horizon batched path, and the flattened ABO
 //!    episode versus the stateful per-RFM state machine.
@@ -190,9 +192,8 @@ fn bench_request_gen(c: &mut Criterion) {
 }
 
 // Hot kernel 5: the sweep runner's work queue — the chunked lock-free
-// claim/stitch protocol versus the retired per-index-mutex queue, with
-// the worker count pinned so single-core hosts still exercise the
-// parallel paths.
+// claim/stitch protocol, with the worker count pinned so single-core
+// hosts still exercise the parallel path.
 fn bench_work_queue(c: &mut Criterion) {
     const ITEMS: usize = 8192;
     const THREADS: usize = 4;
@@ -220,13 +221,6 @@ fn bench_work_queue(c: &mut Criterion) {
         );
     });
 
-    g.bench_function("per_index_mutex", |b| {
-        b.iter_batched(
-            || items.clone(),
-            |items| rayon::queue::mutex_map(items, work, THREADS),
-            BatchSize::SmallInput,
-        );
-    });
     g.finish();
 }
 

@@ -20,23 +20,22 @@
 //! `.repro-checkpoint/arena-<key>/`, where the key fingerprints the
 //! engine selection and the cell grid — a resume can never mix cells
 //! from a different selection. A fresh run discards the store first.
+//! Live cells run crash-isolated through the sweep harness (one retry),
+//! on a queue of `--threads` workers, and are recorded as they finish.
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::time::Instant;
 
-use moat_attacks::{JailbreakAttacker, RatchetAttacker};
 use moat_dram::{MitigationEngine, Nanos, NullEngine};
-use moat_sim::{
-    hammer_attacker, round_robin_attacker, PerfConfig, PerfSim, SecurityConfig, SecurityReport,
-    SecuritySim, SlotBudget,
-};
-use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
+use moat_sim::{Hooks, PerfConfig, PerfSim, SecurityConfig, SecuritySim};
+use moat_telemetry::{log, MetricsRegistry};
 use moat_trackers::registry::{self, EngineSpec, EngineVariant};
 
 use crate::checkpoint::Checkpoint;
+use crate::faults_cmd::{attack, BATTERY};
 use crate::perfbench::uniform_stream;
-use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
+use crate::sweep::{fnv1a, isolate, CellOutcome};
+use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// Virtual time each security cell simulates.
 const CELL_DURATION: Nanos = Nanos::from_millis(2);
@@ -44,15 +43,14 @@ const CELL_DURATION: Nanos = Nanos::from_millis(2);
 const PERF_REQUESTS: u32 = 30_000;
 /// Banks in the perf cell's sub-channel.
 const PERF_BANKS: u16 = 8;
-/// The attack battery every engine variant faces. Jailbreak and
-/// Ratchet carry engine-aware self-models (they downcast to Panopticon
-/// and MOAT respectively); against every other engine those models
-/// degrade to their conservative engine-guaranteed tiers, which is
-/// exactly the degradation this grid keeps honest.
-const ATTACKS: [&str; 4] = ["hammer", "round-robin", "jailbreak", "ratchet"];
 
 /// One cell of the arena grid: a (engine, variant) pair against one
-/// attack, or the variant's perf run (`attack == "perf"`).
+/// attack of the whole [`BATTERY`], or the variant's perf run
+/// (`attack == "perf"`). Jailbreak and Ratchet carry engine-aware
+/// self-models (they downcast to Panopticon and MOAT respectively);
+/// against every other engine those models degrade to their
+/// conservative engine-guaranteed tiers, which is exactly the
+/// degradation this grid keeps honest.
 #[derive(Debug, Clone, Copy)]
 struct ArenaCell {
     spec: &'static EngineSpec,
@@ -139,51 +137,17 @@ impl CellResult {
     }
 }
 
-/// How a cell's result was obtained (stderr accounting only — the
-/// stdout artifact never mentions replay, so a resumed run renders
-/// byte-identically to a fresh one).
-#[derive(Debug)]
-enum CellOutcome {
-    Ran(CellResult),
-    Replayed(CellResult),
-    Failed { message: String },
-}
-
-fn security_report(cell: &ArenaCell) -> SecurityReport {
-    let config = SecurityConfig::paper_default();
-    let mut sim = SecuritySim::new(config, (cell.variant.build)());
-    match cell.attack {
-        "hammer" => sim.run_semi_scripted(&mut hammer_attacker(5), CELL_DURATION),
-        "round-robin" => sim.run_semi_scripted(
-            &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
-            CELL_DURATION,
-        ),
-        "jailbreak" => sim.run_semi_scripted(&mut JailbreakAttacker::new(20_000), CELL_DURATION),
-        "ratchet" => sim.run_semi_scripted(&mut RatchetAttacker::new(64, 128), CELL_DURATION),
-        other => unreachable!("unknown attack {other}"),
-    }
-}
-
-fn perf_config(alerts_enabled: bool) -> PerfConfig {
-    PerfConfig {
-        dram: moat_dram::DramConfig::paper_baseline(),
-        banks: PERF_BANKS,
-        abo_level: moat_dram::AboLevel::L1,
-        budget: SlotBudget::paper_default(),
-        alerts_enabled,
-    }
-}
-
 /// Runs one cell live. The perf cell computes its own ALERT-free
 /// baseline (engine-independent: with ALERTs disabled only REF timing
 /// shapes completion), keeping every cell self-contained — a
 /// prerequisite for arbitrary resume splits.
 fn run_cell(cell: &ArenaCell) -> CellResult {
     if cell.attack == "perf" {
-        let base = PerfSim::new(perf_config(false), || NullEngine)
+        let config = PerfConfig::paper_default().banks(PERF_BANKS);
+        let base = PerfSim::new(config.alerts(false), || NullEngine)
             .run(uniform_stream(PERF_REQUESTS, PERF_BANKS))
             .completion_time;
-        let report = PerfSim::new(perf_config(true), || (cell.variant.build)())
+        let report = PerfSim::new(config, || (cell.variant.build)())
             .run(uniform_stream(PERF_REQUESTS, PERF_BANKS));
         let slowdown =
             (report.completion_time.as_u64() as f64 / base.as_u64() as f64 - 1.0).max(0.0);
@@ -193,7 +157,8 @@ fn run_cell(cell: &ArenaCell) -> CellResult {
             acts: report.total_acts,
         }
     } else {
-        let r = security_report(cell);
+        let mut sim = SecuritySim::new(SecurityConfig::paper_default(), (cell.variant.build)());
+        let r = attack(&mut sim, cell.attack, CELL_DURATION, Hooks::default());
         CellResult::Security {
             acts: r.total_acts,
             escaped: r.max_pressure,
@@ -204,9 +169,14 @@ fn run_cell(cell: &ArenaCell) -> CellResult {
     }
 }
 
-/// Replays `cell` from the store when possible, otherwise runs it live
-/// (crash-isolated, one retry) and records the result.
-fn supervise_cell(cell: &ArenaCell, store: Option<&Checkpoint>, resume: bool) -> CellOutcome {
+/// Replays `cell` from the store when `resume` allows — an `Ok` with
+/// zero attempts, since nothing ran — otherwise runs it live through
+/// [`isolate`] and records the result.
+fn supervise_cell(
+    cell: &ArenaCell,
+    store: Option<&Checkpoint>,
+    resume: bool,
+) -> CellOutcome<CellResult> {
     let name = cell.name();
     if resume {
         // A corrupt record falls through to a live re-run.
@@ -214,33 +184,22 @@ fn supervise_cell(cell: &ArenaCell, store: Option<&Checkpoint>, resume: bool) ->
             .and_then(|s| s.lookup(&name))
             .and_then(|r| CellResult::parse(&r))
         {
-            return CellOutcome::Replayed(result);
+            return CellOutcome::Ok {
+                attempts: 0,
+                result,
+            };
         }
     }
-    let mut last = String::new();
-    for _attempt in 0..2 {
-        match catch_unwind(AssertUnwindSafe(|| run_cell(cell))) {
-            Ok(result) => {
-                if let Some(store) = store {
-                    if let Err(e) = store.record(&name, &result.to_record()) {
-                        log::warn(
-                            "arena",
-                            format_args!("could not checkpoint cell {name}: {e}"),
-                        );
-                    }
-                }
-                return CellOutcome::Ran(result);
-            }
-            Err(payload) => {
-                last = payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
-                    .unwrap_or_else(|| "non-string panic".to_string());
-            }
+    let outcome = isolate(|| run_cell(cell));
+    if let (Some(store), CellOutcome::Ok { result, .. }) = (store, &outcome) {
+        if let Err(e) = store.record(&name, &result.to_record()) {
+            log::warn(
+                "arena",
+                format_args!("could not checkpoint cell {name}: {e}"),
+            );
         }
     }
-    CellOutcome::Failed { message: last }
+    outcome
 }
 
 /// The parsed `repro arena` invocation.
@@ -310,7 +269,7 @@ fn grid(selection: &[&'static EngineSpec]) -> Vec<ArenaCell> {
                 variant,
                 attack: "perf",
             });
-            for attack in ATTACKS {
+            for attack in BATTERY {
                 cells.push(ArenaCell {
                     spec,
                     variant,
@@ -324,14 +283,12 @@ fn grid(selection: &[&'static EngineSpec]) -> Vec<ArenaCell> {
 
 /// FNV-1a over the grid's cell names, for the checkpoint key.
 fn grid_fingerprint(cells: &[ArenaCell]) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for cell in cells {
-        for b in cell.name().bytes().chain([b'\n']) {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    h
+    fnv1a(
+        0,
+        cells
+            .iter()
+            .flat_map(|c| c.name().into_bytes().into_iter().chain([b'\n'])),
+    )
 }
 
 /// ALERTs per million ACTs, rendered from the integer pair (so a
@@ -344,7 +301,11 @@ fn alert_rate(alerts: u64, acts: u64) -> String {
 }
 
 /// Renders the arena table from the outcomes, in grid order.
-fn render(cells: &[ArenaCell], outcomes: &[CellOutcome], reg: &mut MetricsRegistry) -> String {
+fn render(
+    cells: &[ArenaCell],
+    outcomes: &[CellOutcome<CellResult>],
+    reg: &mut MetricsRegistry,
+) -> String {
     let mut out = format!(
         "Cross-mitigation arena: engine x config x attack ({} ms virtual time per security cell, \
          {PERF_REQUESTS} requests per perf cell)\n",
@@ -352,8 +313,8 @@ fn render(cells: &[ArenaCell], outcomes: &[CellOutcome], reg: &mut MetricsRegist
     );
     for (cell, outcome) in cells.iter().zip(outcomes) {
         let result = match outcome {
-            CellOutcome::Ran(r) | CellOutcome::Replayed(r) => *r,
-            CellOutcome::Failed { message } => {
+            CellOutcome::Ok { result, .. } => *result,
+            CellOutcome::Failed { message, .. } => {
                 out.push_str(&format!(
                     "  {}/{} {}: FAILED: {message}\n",
                     cell.spec.name, cell.variant.label, cell.attack
@@ -415,50 +376,37 @@ fn render(cells: &[ArenaCell], outcomes: &[CellOutcome], reg: &mut MetricsRegist
 }
 
 /// Runs the arena over `selection` with an explicit worker count and
-/// optional checkpoint store. Returns the rendered table and the
-/// telemetry registry; the table (and registry) are bit-identical for
-/// any `threads` and any resume split of the same selection.
-fn run_arena(
+/// optional checkpoint store. Returns the rendered table, the telemetry
+/// registry (whose `arena.cells.total` and `arena.cells.replayed`
+/// counters carry the stderr accounting) and the simulated ACTs of every
+/// completed cell — the perf benchmark's arena probe. The table and
+/// registry are bit-identical for any `threads` and any resume split of
+/// the same selection.
+pub(crate) fn run_arena(
     selection: &[&'static EngineSpec],
     threads: usize,
     store: Option<&Checkpoint>,
     resume: bool,
-) -> (String, MetricsRegistry, usize) {
+) -> (String, MetricsRegistry, u64) {
     let cells = grid(selection);
     let outcomes = rayon::queue::chunked_map(
         cells.clone(),
         |cell| supervise_cell(&cell, store, resume),
         threads,
     );
-    let replayed = outcomes
-        .iter()
-        .filter(|o| matches!(o, CellOutcome::Replayed(_)))
-        .count();
+    let mut acts = 0;
+    let mut replayed = 0;
+    for outcome in &outcomes {
+        if let CellOutcome::Ok { attempts, result } = outcome {
+            acts += result.acts();
+            replayed += u64::from(*attempts == 0);
+        }
+    }
     let mut reg = MetricsRegistry::new();
     reg.add("arena.cells.total", cells.len() as u64);
-    reg.add("arena.cells.replayed", replayed as u64);
+    reg.add("arena.cells.replayed", replayed);
     let table = render(&cells, &outcomes, &mut reg);
-    (table, reg, replayed)
-}
-
-/// Runs `selection`'s grid live (no checkpoint store) and returns the
-/// total simulated ACTs plus the cell count — the perf benchmark's
-/// arena throughput probe (`arena_acts_per_sec` in `BENCH_perf.json`).
-pub(crate) fn bench_cells(selection: &[&'static EngineSpec], threads: usize) -> (u64, usize) {
-    let cells = grid(selection);
-    let outcomes = rayon::queue::chunked_map(
-        cells.clone(),
-        |cell| supervise_cell(&cell, None, false),
-        threads,
-    );
-    let acts = outcomes
-        .iter()
-        .map(|o| match o {
-            CellOutcome::Ran(r) | CellOutcome::Replayed(r) => r.acts(),
-            CellOutcome::Failed { .. } => 0,
-        })
-        .sum();
-    (acts, cells.len())
+    (table, reg, acts)
 }
 
 /// Runs `repro arena` and returns the deterministic table for stdout.
@@ -493,24 +441,21 @@ pub fn run_arena_command(args: &[String]) -> Result<String, String> {
     };
 
     let started = Instant::now();
-    let (table, reg, replayed) = run_arena(
+    let (table, reg, _) = run_arena(
         &parsed.selection,
         parsed.threads,
         store.as_ref(),
         parsed.resume,
     );
     eprintln!(
-        "arena: {} cells ({} engines) on {} threads, {replayed} replayed, {:.2}s wall",
+        "arena: {} cells ({} engines) on {} threads, {} replayed, {:.2}s wall",
         cells.len(),
         parsed.selection.len(),
         parsed.threads,
+        reg.counter("arena.cells.replayed"),
         started.elapsed().as_secs_f64(),
     );
-    if tel.level == TelemetryLevel::Off {
-        Ok(table)
-    } else {
-        Ok(format!("{table}\n{}", render_registry(&reg, tel.sink)))
-    }
+    Ok(append_registry(table, &reg, tel))
 }
 
 #[cfg(test)]
@@ -609,7 +554,7 @@ mod tests {
         for spec in &sel {
             assert!(one.contains(spec.name), "missing engine {}", spec.name);
         }
-        for attack in ATTACKS {
+        for attack in BATTERY {
             assert!(one.contains(attack), "missing attack {attack}");
         }
         assert!(!one.contains("FAILED"), "no cell should crash:\n{one}");
@@ -636,10 +581,23 @@ mod tests {
             )
             .unwrap();
         }
-        let (resumed, _, replayed) = run_arena(&sel, 2, Some(&store), true);
+        let (resumed, reg, _) = run_arena(&sel, 2, Some(&store), true);
         assert_eq!(fresh, resumed, "resume split must not change the artifact");
-        assert_eq!(replayed, completed.len() - completed.len().div_ceil(2));
+        assert_eq!(
+            reg.counter("arena.cells.replayed") as usize,
+            completed.len() - completed.len().div_ceil(2)
+        );
         let _ = std::fs::remove_dir_all(&root);
+    }
+
+    #[test]
+    fn moat_comet_table_is_pinned() {
+        // CI's arena smoke diffs two runs of one build; this pins the
+        // table's bytes (FNV-1a) across builds, so a change that moved
+        // every run at once cannot pass unnoticed.
+        let (table, _, _) = run_arena(&subset("moat,comet"), 2, None, false);
+        let digest = fnv1a(0, table.bytes());
+        assert_eq!(digest, 0x9685_6491_da90_fcce, "arena table moved:\n{table}");
     }
 
     #[test]

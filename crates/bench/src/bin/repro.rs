@@ -45,8 +45,8 @@
 //!                               convert text v1 <-> binary v2 traces
 //!   repro ... --telemetry       append deterministic telemetry after
 //!                               the canonical output (`all`, `faults
-//!                               sweep`, `recover sweep`, and `fleet`
-//!                               accept it); MOAT_TELEMETRY=level=off|
+//!                               sweep`, `recover sweep`, `arena` and
+//!                               `fleet` accept it); MOAT_TELEMETRY=level=off|
 //!                               spans|full,sink=text|json|chrome takes
 //!                               precedence when set, and
 //!                               MOAT_LOG=error|warn|info tunes the
@@ -61,12 +61,13 @@
 //!                               sweep_acts_per_sec,
 //!                               security_batched_acts_per_sec,
 //!                               adaptive_batched_acts_per_sec,
-//!                               full_sweep_acts_per_sec, or
-//!                               fleet_acts_per_sec regressed by
-//!                               more than 20% (the thread-scaled sweep
-//!                               and fleet gates are skipped when this
-//!                               run's thread count differs from the
-//!                               baseline's)
+//!                               full_sweep_acts_per_sec,
+//!                               fleet_acts_per_sec, or
+//!                               arena_acts_per_sec regressed by
+//!                               more than 20% (the thread-scaled sweep,
+//!                               full_sweep, fleet and arena gates are
+//!                               skipped when this run's thread count
+//!                               differs from the baseline's)
 //!
 //! The performance sweeps fan their (profile × config) cells across all
 //! cores; `--full` selects the paper-size configuration (32 banks,
@@ -82,10 +83,11 @@ use moat_bench::{
 };
 use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
 
-/// Allowed fractional drop of any gated metric (`uniform_mono_acts_per_sec`,
-/// `sweep_acts_per_sec`, `security_batched_acts_per_sec`,
-/// `adaptive_batched_acts_per_sec`, `full_sweep_acts_per_sec`,
-/// `fleet_acts_per_sec`) before the `--baseline` perf smoke fails the
+/// Allowed fractional drop of any of the seven gated metrics
+/// (`uniform_mono_acts_per_sec`, `sweep_acts_per_sec`,
+/// `security_batched_acts_per_sec`, `adaptive_batched_acts_per_sec`,
+/// `full_sweep_acts_per_sec`, `fleet_acts_per_sec`,
+/// `arena_acts_per_sec`) before the `--baseline` perf smoke fails the
 /// run.
 const MAX_PERF_REGRESSION: f64 = 0.20;
 
@@ -169,56 +171,27 @@ fn main() {
         println!("fig13\nstorage\nbench\ntrace\nfleet\nrecover\narena");
         return;
     }
-    if args.first().is_some_and(|a| a == "trace") {
-        match run_trace_command(&args[1..], scale) {
-            Ok(out) => print!("{out}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
+    // Subcommands parse their own arguments. `--resume` was stripped
+    // above, so it goes back to the two that checkpoint.
+    let subcommand = match args.first().map(String::as_str) {
+        Some("trace") => Some(run_trace_command(&args[1..], scale)),
+        Some("faults") => Some(run_faults_command(&args[1..])),
+        Some("recover") => Some(run_recover_command(&args[1..])),
+        Some(name @ ("arena" | "fleet")) => {
+            let mut rest = args[1..].to_vec();
+            if resume {
+                rest.push("--resume".to_string());
             }
+            Some(if name == "arena" {
+                run_arena_command(&rest)
+            } else {
+                run_fleet_command(&rest)
+            })
         }
-        return;
-    }
-    if args.first().is_some_and(|a| a == "faults") {
-        match run_faults_command(&args[1..]) {
-            Ok(out) => print!("{out}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if args.first().is_some_and(|a| a == "recover") {
-        match run_recover_command(&args[1..]) {
-            Ok(out) => print!("{out}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if args.first().is_some_and(|a| a == "arena") {
-        let mut arena_args: Vec<String> = args[1..].to_vec();
-        if resume {
-            arena_args.push("--resume".to_string());
-        }
-        match run_arena_command(&arena_args) {
-            Ok(out) => print!("{out}"),
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-        return;
-    }
-    if args.first().is_some_and(|a| a == "fleet") {
-        let mut fleet_args: Vec<String> = args[1..].to_vec();
-        if resume {
-            fleet_args.push("--resume".to_string());
-        }
-        match run_fleet_command(&fleet_args) {
+        _ => None,
+    };
+    if let Some(result) = subcommand {
+        match result {
             Ok(out) => print!("{out}"),
             Err(msg) => {
                 eprintln!("{msg}");

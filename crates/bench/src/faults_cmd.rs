@@ -1,4 +1,6 @@
-//! `repro faults sweep` — the fault-sensitivity table.
+//! `repro faults sweep` — the fault-sensitivity table — and the fault
+//! grid and attack battery it shares with `repro recover sweep` and
+//! `repro arena`.
 //!
 //! Ladders the SEU rate of a seeded [`FaultPlan`] across two engines
 //! (MOAT and Panopticon) × two attacks (single-row hammer and
@@ -12,120 +14,135 @@
 //! used. Equal seeds give bit-identical tables — the table itself is
 //! the determinism artifact CI diffs across two runs.
 //!
+//! The grid's cells carry an optional recovery rung: `repro recover
+//! sweep` runs every cell once per rung of its guard ladder, and this
+//! table is the grid cut to its unguarded `none` rung. A cell's fault
+//! seed derives from its engine, attack and SEU rate only, so every
+//! rung of a cell faces the identical injected fault stream.
+//!
 //! Cells run through the crash-isolated sweep harness
 //! ([`try_run_cells`]): a cell that panics under corruption is retried
 //! once and, if it fails again, reported as a `FAILED` row while every
 //! sibling cell still prints.
 
-use moat_dram::{MitigationEngine, Nanos};
+use moat_attacks::{JailbreakAttacker, RatchetAttacker};
+use moat_dram::Nanos;
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
+use moat_guard::{EngineGuard, RecoveryPlan, RecoveryStats};
 use moat_sim::{
-    hammer_attacker, round_robin_attacker, GuardHook, Hooks, SecurityConfig, SecurityReport,
-    SecuritySim,
+    hammer_attacker, round_robin_attacker, FaultHook, GuardHook, Hooks, SecurityConfig,
+    SecurityReport, SecuritySim, TelemetryHook,
 };
+use moat_telemetry::MetricsRegistry;
 use moat_trackers::registry;
 
-use moat_telemetry::{MetricsRegistry, TelemetryLevel};
+use crate::sweep::{cell_metrics, fnv1a, try_run_cells, CellOutcome};
+use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
-use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
-use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
-
-/// Virtual time each cell simulates (per-boundary fault rates make the
-/// injected-fault count proportional to this). `repro recover sweep`
-/// uses it too, so its unguarded rung reproduces this table.
+/// Virtual time each fault-grid cell simulates (per-boundary fault
+/// rates make the injected-fault count proportional to this).
 pub(crate) const CELL_DURATION: Nanos = Nanos::from_millis(4);
 
 /// The SEU-rate ladder: label shown in the table, probability used.
 /// Labels are fixed strings so the table renders identically on every
 /// platform regardless of float formatting.
-const SEU_LADDER: [(&str, f64); 4] = [("0", 0.0), ("1e-4", 1e-4), ("1e-3", 1e-3), ("1e-2", 1e-2)];
+pub(crate) const SEU_LADDER: [(&str, f64); 4] =
+    [("0", 0.0), ("1e-4", 1e-4), ("1e-3", 1e-3), ("1e-2", 1e-2)];
 
-const ENGINES: [&str; 2] = ["moat", "panopticon"];
+/// The fault grid's engines, built through the central registry at
+/// their default configurations. The grid stays at the MOAT/Panopticon
+/// contrast to bound runtime; the full zoo runs through `repro arena`.
+pub(crate) const ENGINES: [&str; 2] = ["moat", "panopticon"];
+/// The fault grid's attacks: the scripted half of [`BATTERY`].
 const ATTACKS: [&str; 2] = ["hammer", "round-robin"];
 
-/// One cell of the fault-sensitivity sweep.
-#[derive(Debug, Clone, Copy)]
-struct FaultCell {
-    engine: &'static str,
-    attack: &'static str,
-    rate_label: &'static str,
-    plan: FaultPlan,
-}
+/// The attack battery, by name, of every `repro` security grid.
+pub(crate) const BATTERY: [&str; 4] = ["hammer", "round-robin", "jailbreak", "ratchet"];
 
-/// Derives a per-cell seed from the base seed and the cell coordinates
-/// (FNV-1a), so every cell draws an independent, reproducible fault
-/// stream.
-fn cell_seed(base: u64, engine: &str, attack: &str, rate_label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ base;
-    for byte in engine
-        .bytes()
-        .chain([b'/'])
-        .chain(attack.bytes())
-        .chain([b'/'])
-        .chain(rate_label.bytes())
-    {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Resolves the sweep's engine names through the central registry
-/// (default configurations) instead of a local `match` — the sweep's
-/// `ENGINES` grid stays at the MOAT/Panopticon contrast to bound
-/// runtime; the full zoo runs through `repro arena`.
-fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
-    registry::build(name).unwrap_or_else(|| unreachable!("unknown engine {name}"))
-}
-
-/// Runs a fault or recovery cell's named attack for [`CELL_DURATION`]
-/// under `hooks`.
-pub(crate) fn attack<G: GuardHook>(
+/// Runs the [`BATTERY`] attack `name` on `sim` for `duration` under
+/// `hooks`.
+pub(crate) fn attack<F: FaultHook, G: GuardHook, T: TelemetryHook>(
     sim: &mut SecuritySim,
     name: &str,
-    hooks: Hooks<&mut FaultInjector, G>,
+    duration: Nanos,
+    hooks: Hooks<F, G, T>,
 ) -> SecurityReport {
     match name {
-        "hammer" => sim.run_semi_scripted_with(&mut hammer_attacker(5), CELL_DURATION, hooks),
+        "hammer" => sim.run_semi_scripted_with(&mut hammer_attacker(5), duration, hooks),
         "round-robin" => sim.run_semi_scripted_with(
             &mut round_robin_attacker((0..16).map(|i| i * 2).collect()),
-            CELL_DURATION,
+            duration,
             hooks,
         ),
+        "jailbreak" => {
+            sim.run_semi_scripted_with(&mut JailbreakAttacker::new(20_000), duration, hooks)
+        }
+        "ratchet" => {
+            sim.run_semi_scripted_with(&mut RatchetAttacker::new(64, 128), duration, hooks)
+        }
         other => unreachable!("unknown attack {other}"),
     }
 }
 
+/// A recovery rung: its table label and the guard's policy (`None`
+/// runs unguarded).
+pub(crate) type GuardRung = (&'static str, Option<RecoveryPlan>);
+
+/// One cell of the fault grid.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct FaultCell {
+    pub(crate) engine: &'static str,
+    pub(crate) attack: &'static str,
+    pub(crate) rate_label: &'static str,
+    pub(crate) guard: GuardRung,
+    plan: FaultPlan,
+}
+
+/// What a fault-grid cell reports: the attack's security report, the
+/// injector's stats, and the guard's stats on a guarded rung.
+pub(crate) type CellResult = (SecurityReport, FaultStats, Option<RecoveryStats>);
+
+/// Derives a per-cell seed from the base seed and the cell's fault
+/// coordinates, so every cell draws an independent, reproducible fault
+/// stream — shared by all of its recovery rungs.
+fn cell_seed(base: u64, engine: &str, attack: &str, rate_label: &str) -> u64 {
+    fnv1a(base, [engine, attack, rate_label].join("/").into_bytes())
+}
+
 /// Runs one cell: an event-horizon security simulation with the cell's
-/// fault plan armed. Returns the report's max pressure plus the injector's
-/// stats, and the activation count for the sweep statistics.
-fn run_cell(cell: FaultCell) -> ((u32, u64, FaultStats), u64) {
+/// fault plan armed and, on a guarded rung, an [`EngineGuard`] at the
+/// boundaries. The activation count feeds the sweep statistics.
+fn run_cell(cell: FaultCell) -> (CellResult, u64) {
     let config = SecurityConfig::paper_default();
     let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
-    let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
-    let report = attack(
-        &mut sim,
-        cell.attack,
-        Hooks::default().faults(&mut injector),
-    );
-    (
-        (report.max_pressure, report.total_acts, injector.stats()),
-        report.total_acts,
-    )
+    let engine = registry::build(cell.engine)
+        .unwrap_or_else(|| unreachable!("unknown engine {}", cell.engine));
+    let mut sim = SecuritySim::new(config, engine);
+    let hooks = Hooks::default().faults(&mut injector);
+    let (report, recovery) = match cell.guard.1 {
+        None => (attack(&mut sim, cell.attack, CELL_DURATION, hooks), None),
+        Some(plan) => {
+            let mut guard = EngineGuard::new(plan);
+            guard.arm(sim.unit_mut());
+            let report = attack(
+                &mut sim,
+                cell.attack,
+                CELL_DURATION,
+                hooks.guard(&mut guard),
+            );
+            (report, Some(guard.stats()))
+        }
+    };
+    ((report, injector.stats(), recovery), report.total_acts)
 }
 
-/// Renders the fault-sensitivity table. Bit-identical across runs with
-/// equal base plans (CI asserts this by diffing two runs).
-pub fn faults_sweep(base: FaultPlan) -> String {
-    faults_sweep_traced(base).0
-}
-
-/// [`faults_sweep`] plus the sweep's derived telemetry registry:
-/// crash-isolation accounting from the harness and per engine × attack
-/// fault aggregates from the Ok cells. The registry is built from the
-/// outcomes in input order, so its render is bit-identical across
-/// worker thread counts — same invariance as the table itself.
-pub fn faults_sweep_traced(base: FaultPlan) -> (String, MetricsRegistry) {
+/// Runs the fault grid — engine × attack × SEU rate × `guards` rung, in
+/// table order — through the crash-isolated harness. Returns each cell
+/// with its outcome, and the harness's cell-accounting registry.
+pub(crate) fn sweep(
+    base: FaultPlan,
+    guards: &[GuardRung],
+) -> (Vec<(FaultCell, CellOutcome<CellResult>)>, MetricsRegistry) {
     let mut cells = Vec::new();
     for engine in ENGINES {
         for attack in ATTACKS {
@@ -135,29 +152,55 @@ pub fn faults_sweep_traced(base: FaultPlan) -> (String, MetricsRegistry) {
                     seed: cell_seed(base.seed, engine, attack, rate_label),
                     ..base
                 };
-                cells.push(FaultCell {
-                    engine,
-                    attack,
-                    rate_label,
-                    plan,
-                });
+                for &guard in guards {
+                    cells.push(FaultCell {
+                        engine,
+                        attack,
+                        rate_label,
+                        guard,
+                        plan,
+                    });
+                }
             }
         }
     }
-
     let (outcomes, stats) = try_run_cells(cells.clone(), run_cell);
-    let mut reg = cell_metrics(&outcomes, &stats);
+    let reg = cell_metrics(&outcomes, &stats);
+    let rows = cells
+        .into_iter()
+        .zip(outcomes)
+        .map(|(cell, (outcome, _wall))| (cell, outcome));
+    (rows.collect(), reg)
+}
 
+/// The base fault plan: [`MOAT_FAULTS`](FaultPlan::ENV_VAR) when armed,
+/// else the built-in seed.
+pub(crate) fn base_plan() -> Result<FaultPlan, String> {
+    Ok(FaultPlan::from_env()
+        .map_err(|e| format!("invalid {}: {e}", FaultPlan::ENV_VAR))?
+        .unwrap_or_else(|| FaultPlan::none(0xFA17)))
+}
+
+/// Renders the fault-sensitivity table, plus the sweep's derived
+/// telemetry registry: crash-isolation accounting from the harness and
+/// per engine × attack fault aggregates from the Ok cells. Both are
+/// built from the outcomes in input order, so they are bit-identical
+/// across runs with equal base plans and across worker thread counts
+/// (CI asserts this by diffing two runs).
+pub fn faults_sweep(base: FaultPlan) -> (String, MetricsRegistry) {
+    let (rows, mut reg) = sweep(base, &[("none", None)]);
     let mut out = format!(
         "Fault sensitivity: SEU ladder x engine x attack ({} ms virtual time/cell)\n\
          base plan: {base}\n\
          engine      | attack      | seu   | acts   | maxP | flips | stuck | unsound | escaped | first-unsound\n",
         CELL_DURATION.as_u64() / 1_000_000,
     );
-    for (cell, (outcome, _wall)) in cells.iter().zip(&outcomes) {
+    for (cell, outcome) in &rows {
         match outcome {
-            CellOutcome::Ok { result, .. } => {
-                let (max_pressure, total_acts, stats) = result;
+            CellOutcome::Ok {
+                result: (report, stats, _),
+                ..
+            } => {
                 let first = match stats.first_unsound {
                     Some(f) => format!("@{}ns {}/{}", f.at.as_u64(), f.done, f.promised),
                     None => "-".to_string(),
@@ -167,20 +210,23 @@ pub fn faults_sweep_traced(base: FaultPlan) -> (String, MetricsRegistry) {
                     cell.engine,
                     cell.attack,
                     cell.rate_label,
-                    total_acts,
-                    max_pressure,
+                    report.total_acts,
+                    report.max_pressure,
                     stats.seu_flips,
                     stats.stuck_entries,
                     stats.unsound_horizons,
                     stats.escaped_acts,
                 ));
                 let key = format!("faults.{}.{}", cell.engine, cell.attack);
-                reg.add(&format!("{key}.acts"), *total_acts);
+                reg.add(&format!("{key}.acts"), report.total_acts);
                 reg.add(&format!("{key}.seu_flips"), stats.seu_flips);
                 reg.add(&format!("{key}.stuck_entries"), stats.stuck_entries);
                 reg.add(&format!("{key}.unsound_horizons"), stats.unsound_horizons);
                 reg.add(&format!("{key}.escaped_acts"), stats.escaped_acts);
-                reg.gauge_max(&format!("{key}.max_pressure"), u64::from(*max_pressure));
+                reg.gauge_max(
+                    &format!("{key}.max_pressure"),
+                    u64::from(report.max_pressure),
+                );
             }
             CellOutcome::Failed { attempts, message } => {
                 out.push_str(&format!(
@@ -205,21 +251,13 @@ pub fn run_faults_command(args: &[String]) -> Result<String, String> {
                  the sweep ladders the SEU rate itself. --telemetry, or MOAT_TELEMETRY with a \
                  level above off, appends the sweep's metrics registry)";
     let (rest, telemetry_flag) = take_telemetry_flag(args);
-    match rest.first().map(String::as_str) {
-        Some("sweep") => {
-            let base = FaultPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", FaultPlan::ENV_VAR))?
-                .unwrap_or_else(|| FaultPlan::none(0xFA17));
-            let tel = effective_config(telemetry_flag)?;
-            if tel.level == TelemetryLevel::Off {
-                Ok(faults_sweep(base))
-            } else {
-                let (table, reg) = faults_sweep_traced(base);
-                Ok(format!("{table}\n{}", render_registry(&reg, tel.sink)))
-            }
-        }
-        _ => Err(usage.to_string()),
+    if rest.first().map(String::as_str) != Some("sweep") {
+        return Err(usage.to_string());
     }
+    let base = base_plan()?;
+    let tel = effective_config(telemetry_flag)?;
+    let (table, reg) = faults_sweep(base);
+    Ok(append_registry(table, &reg, tel))
 }
 
 #[cfg(test)]
@@ -229,8 +267,8 @@ mod tests {
     #[test]
     fn sweep_is_deterministic_and_covers_grid() {
         let base = FaultPlan::none(0xFA17);
-        let a = faults_sweep(base);
-        let b = faults_sweep(base);
+        let (a, _) = faults_sweep(base);
+        let (b, _) = faults_sweep(base);
         assert_eq!(a, b, "same base plan, bit-identical table");
         for engine in ENGINES {
             assert!(a.contains(engine), "missing engine {engine}");
@@ -254,7 +292,7 @@ mod tests {
         // the tracker from the in-array counters and break the bound;
         // Panopticon's bound rides queue occupancy, which tag flips do
         // not change.
-        let table = faults_sweep(FaultPlan::none(0xFA17));
+        let (table, _) = faults_sweep(FaultPlan::none(0xFA17));
         let unsound_at = |engine: &str, rate: &str| -> u64 {
             table
                 .lines()
@@ -289,6 +327,18 @@ mod tests {
         seeds.sort_unstable();
         seeds.dedup();
         assert_eq!(seeds.len(), total, "cell seeds must not collide");
+    }
+
+    #[test]
+    fn fault_tables_are_pinned() {
+        // CI's chaos and telemetry smokes diff two runs of one build;
+        // this pins the artifact's bytes (FNV-1a) across builds, so a
+        // change that moved every run at once cannot pass unnoticed.
+        let plain = run_faults_command(&["sweep".to_string()]).unwrap();
+        let traced = run_faults_command(&["sweep".to_string(), "--telemetry".to_string()]).unwrap();
+        assert!(traced.starts_with(&plain), "telemetry only appends");
+        assert_eq!(fnv1a(0, plain.bytes()), 0x00f4_1d03_e8f8_e6b7, "{plain}");
+        assert_eq!(fnv1a(0, traced.bytes()), 0x2ec3_6557_deaa_4c3e, "{traced}");
     }
 
     #[test]

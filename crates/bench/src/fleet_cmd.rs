@@ -26,6 +26,7 @@ use moat_telemetry::{log, TelemetryLevel};
 use moat_trackers::registry;
 
 use crate::checkpoint::Checkpoint;
+use crate::sweep::fnv1a;
 use crate::telemetry_cli::{effective_config, take_telemetry_flag};
 
 /// Default shard count (the acceptance-scale topology).
@@ -37,15 +38,9 @@ const DEFAULT_ACTS_PER_TENANT: u32 = 512;
 /// Default master seed.
 const DEFAULT_SEED: u64 = 0xF1EE7;
 
-/// FNV-1a over a string, for the checkpoint key's fault-plan
-/// fingerprint.
-fn fnv(s: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for b in s.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+/// FNV-1a over a string, for the checkpoint key's fingerprints.
+fn fnv(s: &str) -> u32 {
+    fnv1a(0, s.bytes()) as u32
 }
 
 /// The parsed `repro fleet` invocation.
@@ -187,15 +182,15 @@ pub fn run_fleet_command(args: &[String]) -> Result<String, String> {
         parsed.tenants,
         parsed.acts_per_tenant,
         config.seed,
-        fnv(&config.faults.to_string()) as u32,
+        fnv(&config.faults.to_string()),
         match config.recovery {
-            Some(plan) => format!("-r{:08x}", fnv(&plan.to_string()) as u32),
+            Some(plan) => format!("-r{:08x}", fnv(&plan.to_string())),
             None => String::new(),
         },
         if config.engines == ["moat"] {
             String::new()
         } else {
-            format!("-e{:08x}", fnv(&config.engines.join("+")) as u32)
+            format!("-e{:08x}", fnv(&config.engines.join("+")))
         },
     );
     let root = Path::new(".");
@@ -312,6 +307,28 @@ mod tests {
             parse_args(&strings(&["--frobnicate"])).is_err(),
             "unknown flag"
         );
+    }
+
+    #[test]
+    fn fleet_reports_are_pinned() {
+        // The report `repro fleet --shards 16 --tenants 96 --acts 64`
+        // prints, clean and under CI's crash plan, pinned by FNV-1a
+        // across builds; CI's fleet smoke only diffs two runs of one
+        // build.
+        let render = |faults: FleetFaultPlan| {
+            let config = FleetConfig::new(FleetTopology::with_shards(16), 96, 64, DEFAULT_SEED)
+                .with_faults(faults);
+            let order: Vec<u32> = (0..16).collect();
+            FleetSupervisor::new(config)
+                .run_with(&order, 2, None)
+                .0
+                .render()
+        };
+        let clean = render(FleetFaultPlan::none(DEFAULT_SEED));
+        let chaos = render(FleetFaultPlan::parse("seed=97,crash=0.4").unwrap());
+        assert!(chaos.contains("quarantined-crash"), "{chaos}");
+        assert_eq!(fnv1a(0, clean.bytes()), 0xeb23_f7b2_a72a_0b14, "{clean}");
+        assert_eq!(fnv1a(0, chaos.bytes()), 0x77d2_efe2_29bf_bc23, "{chaos}");
     }
 
     #[test]

@@ -27,20 +27,20 @@ mod trace_cmd;
 pub use ablation_experiments::{ablation_refresh_order, ablation_tracker_class, energy};
 pub use arena_cmd::run_arena_command;
 pub use checkpoint::{Checkpoint, CHECKPOINT_DIR};
-pub use faults_cmd::{faults_sweep, faults_sweep_traced, run_faults_command};
+pub use faults_cmd::{faults_sweep, run_faults_command};
 pub use fleet_cmd::run_fleet_command;
 pub use perf_experiments::{
     fig11, fig12, fig13, fig17, run_perf, table4, table5, table6, table7, PerfLab,
 };
 pub use perfbench::{bench_perf, uniform_stream, PerfBenchReport};
-pub use recover_cmd::{recover_sweep, recover_sweep_traced, run_recover_command};
+pub use recover_cmd::{recover_sweep, run_recover_command};
 pub use scale::Scale;
 pub use security_experiments::{
     fig10_fig15, fig16, fig5, fig7, fig8, moat_bound_check, run_security, table2,
 };
 pub use sweep::{
-    cell_metrics, run_cells, run_sweep, try_run_cells, try_run_cells_with_policy, CellOutcome,
-    SweepCell, SweepOutcome, SweepStats,
+    cell_metrics, run_cells, run_sweep, try_run_cells, CellOutcome, SweepCell, SweepOutcome,
+    SweepStats,
 };
 pub use telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
 pub use trace_cmd::run_trace_command;

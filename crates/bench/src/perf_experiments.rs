@@ -605,18 +605,14 @@ pub fn fig17(scale: Scale) -> String {
 }
 
 fn attack_loss(stream: &[Request], banks: u16) -> (f64, u64) {
-    let dram = DramConfig::paper_baseline();
-    let mk = |alerts| PerfConfig {
-        dram,
-        banks,
-        abo_level: AboLevel::L1,
-        budget: SlotBudget::paper_default(),
-        alerts_enabled: alerts,
-    };
-    let with = PerfSim::new(mk(true), moat_factory(MoatConfig::paper_default()))
-        .run(stream.iter().copied());
-    let base = PerfSim::new(mk(false), moat_factory(MoatConfig::paper_default()))
-        .run(stream.iter().copied());
+    let config = PerfConfig::paper_default().banks(banks);
+    let with =
+        PerfSim::new(config, moat_factory(MoatConfig::paper_default())).run(stream.iter().copied());
+    let base = PerfSim::new(
+        config.alerts(false),
+        moat_factory(MoatConfig::paper_default()),
+    )
+    .run(stream.iter().copied());
     (with.slowdown_vs(&base).max(0.0), with.alerts)
 }
 

@@ -7,7 +7,7 @@ use std::time::Instant;
 
 use moat_attacks::{FeintingAttacker, JailbreakAttacker, PostponementAttacker, RatchetAttacker};
 use moat_core::{MoatConfig, MoatEngine};
-use moat_dram::{AboLevel, BankId, DramConfig, MitigationEngine, Nanos, RowId};
+use moat_dram::{BankId, DramConfig, MitigationEngine, Nanos, RowId};
 use moat_fleet::{FleetConfig, FleetSupervisor, FleetTopology};
 use moat_sim::{
     hammer_attacker, Attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, Scripted,
@@ -442,16 +442,6 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-fn perf_config(banks: u16) -> PerfConfig {
-    PerfConfig {
-        dram: DramConfig::paper_baseline(),
-        banks,
-        abo_level: AboLevel::L1,
-        budget: SlotBudget::paper_default(),
-        alerts_enabled: true,
-    }
-}
-
 /// The canonical hot-path measurement stream: a saturating uniform
 /// round-robin over `banks` banks with Knuth-hashed rows. Shared with the
 /// criterion micro-benchmarks so both measure the same workload.
@@ -471,48 +461,53 @@ fn hammer_stream(n: u32) -> impl Iterator<Item = Request> + Clone {
     })
 }
 
+/// Times two runs of one computation that must agree. A warm-up pass
+/// (pays one-time page faults and lets the CPU settle) runs each once
+/// and asserts their results are equal — `what` names the broken
+/// invariant otherwise. Then three interleaved rounds, so neither
+/// side systematically benefits from running last, keep each side's
+/// best time. Returns the warm-up result and the two best times in
+/// seconds.
+fn best_of_3<R: PartialEq + std::fmt::Debug>(
+    what: &str,
+    a: impl Fn() -> R,
+    b: impl Fn() -> R,
+) -> (R, f64, f64) {
+    let result = a();
+    assert_eq!(result, b(), "{what}");
+    let time = |run: &dyn Fn() -> R| {
+        let start = Instant::now();
+        run();
+        start.elapsed().as_secs_f64()
+    };
+    let (mut a_secs, mut b_secs) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..3 {
+        a_secs = a_secs.min(time(&a));
+        b_secs = b_secs.min(time(&b));
+    }
+    (result, a_secs, b_secs)
+}
+
 /// Measures one stream on both dispatch paths and checks the reports are
 /// bit-identical (the monomorphization must not change numerics).
 fn measure<S>(stream: S, banks: u16, acts: u64) -> HotPathResult
 where
     S: Iterator<Item = Request> + Clone,
 {
-    let run_mono = |s: S| {
-        let start = Instant::now();
-        let report = PerfSim::new(perf_config(banks), || {
-            MoatEngine::new(MoatConfig::paper_default())
-        })
-        .run(s);
-        (report, start.elapsed().as_secs_f64())
-    };
-    let run_boxed = |s: S| {
-        let start = Instant::now();
-        let report = PerfSim::new(perf_config(banks), || {
-            Box::new(MoatEngine::new(MoatConfig::paper_default())) as Box<dyn MitigationEngine>
-        })
-        .run(s);
-        (report, start.elapsed().as_secs_f64())
-    };
-
-    // Warm-up pass (pays one-time page faults and lets the CPU settle),
-    // then best-of-3 per variant, interleaved so no variant
-    // systematically benefits from running last.
-    let (mono_report, _) = run_mono(stream.clone());
-    let (boxed_report, _) = run_boxed(stream.clone());
-    assert_eq!(
-        mono_report, boxed_report,
-        "dispatch strategy changed simulation results"
+    let config = PerfConfig::paper_default().banks(banks);
+    let (_, mono_secs, boxed_secs) = best_of_3(
+        "dispatch strategy changed simulation results",
+        || {
+            PerfSim::new(config, || MoatEngine::new(MoatConfig::paper_default()))
+                .run(stream.clone())
+        },
+        || {
+            PerfSim::new(config, || {
+                Box::new(MoatEngine::new(MoatConfig::paper_default())) as Box<dyn MitigationEngine>
+            })
+            .run(stream.clone())
+        },
     );
-
-    let mut mono_secs = f64::INFINITY;
-    let mut boxed_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let (_, m) = run_mono(stream.clone());
-        let (_, b) = run_boxed(stream.clone());
-        mono_secs = mono_secs.min(m);
-        boxed_secs = boxed_secs.min(b);
-    }
-
     HotPathResult {
         mono_acts_per_sec: acts as f64 / mono_secs.max(1e-9),
         boxed_acts_per_sec: acts as f64 / boxed_secs.max(1e-9),
@@ -531,34 +526,12 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
             MoatEngine::new(MoatConfig::paper_default()),
         )
     };
-    let run_step = || {
-        let start = Instant::now();
-        let report = mk().run(&mut Scripted::new(hammer_attacker(30_000)), duration);
-        (report, start.elapsed().as_secs_f64())
-    };
-    let run_batched = || {
-        let start = Instant::now();
-        let report = mk().run_semi_scripted(&mut hammer_attacker(30_000), duration);
-        (report, start.elapsed().as_secs_f64())
-    };
-
-    // Warm-up + equivalence check, then best-of-3 interleaved.
-    let (step_report, _) = run_step();
-    let (batched_report, _) = run_batched();
-    assert_eq!(
-        step_report, batched_report,
-        "event-horizon batching changed the security report"
+    let (report, step_secs, batched_secs) = best_of_3(
+        "event-horizon batching changed the security report",
+        || mk().run(&mut Scripted::new(hammer_attacker(30_000)), duration),
+        || mk().run_semi_scripted(&mut hammer_attacker(30_000), duration),
     );
-    let acts = step_report.total_acts;
-
-    let mut step_secs = f64::INFINITY;
-    let mut batched_secs = f64::INFINITY;
-    for _ in 0..3 {
-        let (_, s) = run_step();
-        let (_, b) = run_batched();
-        step_secs = step_secs.min(s);
-        batched_secs = batched_secs.min(b);
-    }
+    let acts = report.total_acts;
     SecurityPathResult {
         step_acts_per_sec: acts as f64 / step_secs.max(1e-9),
         batched_acts_per_sec: acts as f64 / batched_secs.max(1e-9),
@@ -566,10 +539,10 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
     }
 }
 
-/// One cell of the adaptive benchmark suite: runs the same attack
-/// through the per-step reference and the semi-scripted path (asserting
-/// bit-identical reports), and accumulates acts plus best-of-2 wall
-/// times into the aggregate.
+/// One cell of the adaptive benchmark suite: times the same attack
+/// through the per-step reference and the semi-scripted path with
+/// [`best_of_3`] (asserting bit-identical reports), and accumulates
+/// acts plus the best wall times into the aggregate.
 fn adaptive_cell<E, A>(
     mk_sim: impl Fn() -> SecuritySim<E>,
     mk_attacker: impl Fn() -> A,
@@ -581,31 +554,12 @@ fn adaptive_cell<E, A>(
     E: MitigationEngine,
     A: Attacker + SemiScriptedAttacker,
 {
-    let run_step = || {
-        let start = Instant::now();
-        let report = mk_sim().run(&mut mk_attacker(), duration);
-        (report, start.elapsed().as_secs_f64())
-    };
-    let run_semi = || {
-        let start = Instant::now();
-        let report = mk_sim().run_semi_scripted(&mut mk_attacker(), duration);
-        (report, start.elapsed().as_secs_f64())
-    };
-
-    // Warm-up + equivalence check, then best-of-3 interleaved.
-    let (step_report, _) = run_step();
-    let (semi_report, _) = run_semi();
-    assert_eq!(
-        step_report, semi_report,
-        "semi-scripted batching changed the security report"
+    let (report, step, semi) = best_of_3(
+        "semi-scripted batching changed the security report",
+        || mk_sim().run(&mut mk_attacker(), duration),
+        || mk_sim().run_semi_scripted(&mut mk_attacker(), duration),
     );
-    let mut step = f64::INFINITY;
-    let mut semi = f64::INFINITY;
-    for _ in 0..3 {
-        step = step.min(run_step().1);
-        semi = semi.min(run_semi().1);
-    }
-    *acts += step_report.total_acts;
+    *acts += report.total_acts;
     *step_secs += step;
     *batched_secs += semi;
 }
@@ -770,10 +724,11 @@ fn measure_fleet() -> FleetPathResult {
 
 /// Measures the cross-mitigation arena on a two-engine zoo slice (MOAT
 /// and CoMeT — one counter-table engine, one sketch engine) through the
-/// real cell pipeline: the full perf + attack grid per variant on the
-/// chunked worker queue. Small enough to stay in the benchmark's time
-/// budget, real enough that a regression in any shared arena layer
-/// (grid assembly, cell supervision, the boxed engine seam) moves it.
+/// real `repro arena` pipeline, without a checkpoint store: the full
+/// perf + attack grid per variant on the chunked worker queue, and the
+/// rendered table. Small enough to stay in the benchmark's time budget,
+/// real enough that a regression in any shared arena layer (grid
+/// assembly, cell supervision, the boxed engine seam) moves it.
 fn measure_arena() -> ArenaPathResult {
     let selection: Vec<&'static EngineSpec> = ["moat", "comet"]
         .iter()
@@ -784,8 +739,8 @@ fn measure_arena() -> ArenaPathResult {
     let mut cells = 0;
     for _ in 0..2 {
         let start = Instant::now();
-        let (acts, n) = crate::arena_cmd::bench_cells(&selection, threads);
-        cells = n;
+        let (_, reg, acts) = crate::arena_cmd::run_arena(&selection, threads, None, false);
+        cells = reg.counter("arena.cells.total") as usize;
         best = best.max(acts as f64 / start.elapsed().as_secs_f64().max(1e-9));
     }
     ArenaPathResult {

@@ -1,11 +1,10 @@
 //! `repro recover sweep` — the recovery table.
 //!
-//! Extends the fault-sensitivity sweep with a guard ladder: every
-//! engine × attack × SEU-rate cell runs once unguarded and once per
-//! recovery policy rung (scrub-only at two cadences, and the full
-//! scrub + conservative-fallback policy). Per-cell seeds use the exact
-//! same derivation as `repro faults sweep` — the guard label is
-//! deliberately **excluded** from the seed — so the unguarded rung
+//! Runs the fault grid of `repro faults sweep` with a guard ladder:
+//! every engine × attack × SEU-rate cell runs once unguarded and once
+//! per recovery policy rung (scrub-only at two cadences, and the full
+//! scrub + conservative-fallback policy). The guard rung is
+//! deliberately **excluded** from the cell seed, so the unguarded rung
 //! reproduces the fault sweep's numbers bit-for-bit and every guard
 //! rung faces the identical injected fault stream.
 //!
@@ -16,28 +15,18 @@
 //! recovery policy can be overridden via
 //! [`MOAT_RECOVERY`](RecoveryPlan::ENV_VAR).
 
-use moat_dram::MitigationEngine;
-use moat_faults::{FaultInjector, FaultPlan, FaultStats};
-use moat_guard::{EngineGuard, RecoveryPlan, RecoveryStats};
-use moat_sim::{Hooks, SecurityConfig, SecuritySim};
-use moat_trackers::registry;
-
+use moat_faults::FaultPlan;
 use moat_fleet::Incident;
-use moat_telemetry::{MetricsRegistry, TelemetryLevel};
+use moat_guard::RecoveryPlan;
+use moat_telemetry::MetricsRegistry;
 
-use crate::faults_cmd::{attack, CELL_DURATION};
-use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
-use crate::telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
-
-/// The SEU-rate ladder (labels fixed for platform-independent output).
-const SEU_LADDER: [(&str, f64); 4] = [("0", 0.0), ("1e-4", 1e-4), ("1e-3", 1e-3), ("1e-2", 1e-2)];
-
-const ENGINES: [&str; 2] = ["moat", "panopticon"];
-const ATTACKS: [&str; 2] = ["hammer", "round-robin"];
+use crate::faults_cmd::{base_plan, sweep, GuardRung, CELL_DURATION};
+use crate::sweep::CellOutcome;
+use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// The guard ladder: unguarded baseline, scrub-only at two cadences,
 /// and the full policy (scrub + conservative fallback).
-fn guard_ladder(full: RecoveryPlan) -> [(&'static str, Option<RecoveryPlan>); 4] {
+fn guard_ladder(full: RecoveryPlan) -> [GuardRung; 4] {
     [
         ("none", None),
         ("scrub-500u", Some(RecoveryPlan::scrub_every(500_000))),
@@ -46,104 +35,16 @@ fn guard_ladder(full: RecoveryPlan) -> [(&'static str, Option<RecoveryPlan>); 4]
     ]
 }
 
-/// One cell of the recovery sweep.
-#[derive(Debug, Clone, Copy)]
-struct RecoverCell {
-    engine: &'static str,
-    attack: &'static str,
-    rate_label: &'static str,
-    guard_label: &'static str,
-    plan: FaultPlan,
-    recovery: Option<RecoveryPlan>,
-}
-
-/// Per-cell seed, FNV-1a over the *fault* coordinates only — identical
-/// to `faults_cmd::cell_seed`, so guard rungs share the fault stream of
-/// their unguarded sibling.
-fn cell_seed(base: u64, engine: &str, attack: &str, rate_label: &str) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ base;
-    for byte in engine
-        .bytes()
-        .chain([b'/'])
-        .chain(attack.bytes())
-        .chain([b'/'])
-        .chain(rate_label.bytes())
-    {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
-/// Resolves the sweep's engine names through the central registry
-/// (default configurations) instead of a local `match` — the sweep's
-/// `ENGINES` grid stays at the MOAT/Panopticon contrast to bound
-/// runtime; the full zoo runs through `repro arena`.
-fn boxed_engine(name: &str) -> Box<dyn MitigationEngine> {
-    registry::build(name).unwrap_or_else(|| unreachable!("unknown engine {name}"))
-}
-
-/// Runs one cell: an event-horizon security simulation with the cell's
-/// fault plan armed and (for guarded rungs) an [`EngineGuard`] at the
-/// boundaries. Returns the fault stats plus the recovery telemetry.
-fn run_cell(cell: RecoverCell) -> ((u64, FaultStats, Option<RecoveryStats>), u64) {
-    let config = SecurityConfig::paper_default();
-    let mut injector = FaultInjector::new(cell.plan, config.dram.rows_per_bank);
-    let mut sim = SecuritySim::new(config, boxed_engine(cell.engine));
-    let hooks = Hooks::default().faults(&mut injector);
-    let (report, recovery) = match cell.recovery {
-        None => (attack(&mut sim, cell.attack, hooks), None),
-        Some(plan) => {
-            let mut guard = EngineGuard::new(plan);
-            guard.arm(sim.unit_mut());
-            let report = attack(&mut sim, cell.attack, hooks.guard(&mut guard));
-            (report, Some(guard.stats()))
-        }
-    };
-    (
-        (report.total_acts, injector.stats(), recovery),
-        report.total_acts,
-    )
-}
-
-/// Renders the recovery table. Bit-identical across runs with equal
-/// base fault plans and full-rung policies (CI diffs two runs).
-pub fn recover_sweep(base: FaultPlan, full: RecoveryPlan) -> String {
-    recover_sweep_traced(base, full).0
-}
-
-/// [`recover_sweep`] plus the sweep's telemetry registry. The table now
-/// ends with an integrity-incident section rendered through the same
-/// [`Incident`] path the fleet report uses (`cell` noun instead of
-/// `shard`), so the two surfaces' taxonomy and detail strings can never
-/// drift. Incident lines contain no `|`, keeping the table's
-/// column-indexed consumers (CI's awk gate) unaffected.
-pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, MetricsRegistry) {
-    let mut cells = Vec::new();
-    for engine in ENGINES {
-        for attack in ATTACKS {
-            for (rate_label, rate) in SEU_LADDER {
-                for (guard_label, recovery) in guard_ladder(full) {
-                    let plan = FaultPlan {
-                        seu_rate: rate,
-                        seed: cell_seed(base.seed, engine, attack, rate_label),
-                        ..base
-                    };
-                    cells.push(RecoverCell {
-                        engine,
-                        attack,
-                        rate_label,
-                        guard_label,
-                        plan,
-                        recovery,
-                    });
-                }
-            }
-        }
-    }
-
-    let (outcomes, stats) = try_run_cells(cells.clone(), run_cell);
-    let mut reg = cell_metrics(&outcomes, &stats);
+/// Renders the recovery table, plus the sweep's telemetry registry.
+/// Both are bit-identical across runs with equal base fault plans and
+/// full-rung policies (CI diffs two runs). The table ends with an
+/// integrity-incident section rendered through the same [`Incident`]
+/// path the fleet report uses (`cell` noun instead of `shard`), so the
+/// two surfaces' taxonomy and detail strings can never drift. Incident
+/// lines contain no `|`, keeping the table's column-indexed consumers
+/// (CI's awk gate) unaffected.
+pub fn recover_sweep(base: FaultPlan, full: RecoveryPlan) -> (String, MetricsRegistry) {
+    let (rows, mut reg) = sweep(base, &guard_ladder(full));
     let mut incidents: Vec<Incident> = Vec::new();
 
     let mut out = format!(
@@ -153,22 +54,21 @@ pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, Met
          engine      | attack      | seu   | guard      | acts   | unsound | escaped | det   | rep   | fb    | scrubs | resync-ns\n",
         CELL_DURATION.as_u64() / 1_000_000,
     );
-    for (index, (cell, (outcome, _wall))) in cells.iter().zip(&outcomes).enumerate() {
+    for (index, (cell, outcome)) in rows.iter().enumerate() {
         match outcome {
-            CellOutcome::Ok { result, .. } => {
-                let (total_acts, stats, recovery) = result;
+            CellOutcome::Ok {
+                result: (report, stats, recovery),
+                ..
+            } => {
                 if let Some(r) = recovery {
-                    let key = format!(
-                        "recover.{}.{}.{}",
-                        cell.engine, cell.attack, cell.guard_label
-                    );
+                    let key = format!("recover.{}.{}.{}", cell.engine, cell.attack, cell.guard.0);
                     r.record_metrics(&key, &mut reg);
                     if r.detected > 0 {
                         incidents.push(Incident::integrity(
                             index as u32,
                             format!(
                                 "{}/{}/{}/{}",
-                                cell.engine, cell.attack, cell.rate_label, cell.guard_label
+                                cell.engine, cell.attack, cell.rate_label, cell.guard.0
                             ),
                             r.detected,
                             r.repaired,
@@ -203,8 +103,8 @@ pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, Met
                     cell.engine,
                     cell.attack,
                     cell.rate_label,
-                    cell.guard_label,
-                    total_acts,
+                    cell.guard.0,
+                    report.total_acts,
                     stats.unsound_horizons,
                     stats.escaped_acts,
                     det,
@@ -216,7 +116,7 @@ pub fn recover_sweep_traced(base: FaultPlan, full: RecoveryPlan) -> (String, Met
             CellOutcome::Failed { attempts, message } => {
                 out.push_str(&format!(
                     "  {:<10} | {:<11} | {:<5} | {:<10} | FAILED after {attempts} attempts: {message}\n",
-                    cell.engine, cell.attack, cell.rate_label, cell.guard_label,
+                    cell.engine, cell.attack, cell.rate_label, cell.guard.0,
                 ));
             }
         }
@@ -245,35 +145,29 @@ pub fn run_recover_command(args: &[String]) -> Result<String, String> {
                  --telemetry, or MOAT_TELEMETRY with a level above off, appends the sweep's \
                  metrics registry)";
     let (rest, telemetry_flag) = take_telemetry_flag(args);
-    match rest.first().map(String::as_str) {
-        Some("sweep") => {
-            let base = FaultPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", FaultPlan::ENV_VAR))?
-                .unwrap_or_else(|| FaultPlan::none(0xFA17));
-            let full = RecoveryPlan::from_env()
-                .map_err(|e| format!("invalid {}: {e}", RecoveryPlan::ENV_VAR))?
-                .unwrap_or_else(RecoveryPlan::full);
-            let tel = effective_config(telemetry_flag)?;
-            if tel.level == TelemetryLevel::Off {
-                Ok(recover_sweep(base, full))
-            } else {
-                let (table, reg) = recover_sweep_traced(base, full);
-                Ok(format!("{table}\n{}", render_registry(&reg, tel.sink)))
-            }
-        }
-        _ => Err(usage.to_string()),
+    if rest.first().map(String::as_str) != Some("sweep") {
+        return Err(usage.to_string());
     }
+    let base = base_plan()?;
+    let full = RecoveryPlan::from_env()
+        .map_err(|e| format!("invalid {}: {e}", RecoveryPlan::ENV_VAR))?
+        .unwrap_or_else(RecoveryPlan::full);
+    let tel = effective_config(telemetry_flag)?;
+    let (table, reg) = recover_sweep(base, full);
+    Ok(append_registry(table, &reg, tel))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::faults_cmd::{ENGINES, SEU_LADDER};
+    use crate::sweep::fnv1a;
 
     #[test]
     fn sweep_is_deterministic_and_covers_grid() {
         let base = FaultPlan::none(0xFA17);
-        let a = recover_sweep(base, RecoveryPlan::full());
-        let b = recover_sweep(base, RecoveryPlan::full());
+        let (a, _) = recover_sweep(base, RecoveryPlan::full());
+        let (b, _) = recover_sweep(base, RecoveryPlan::full());
         assert_eq!(a, b, "same plans, bit-identical table");
         for engine in ENGINES {
             assert!(a.contains(engine), "missing engine {engine}");
@@ -292,7 +186,7 @@ mod tests {
         // The headline: at SEU 1e-2 under hammer, unguarded MOAT breaks
         // its promised ACT horizons (the fault sweep's result, same
         // seeds); the full guard closes every one of them.
-        let table = recover_sweep(FaultPlan::none(0xFA17), RecoveryPlan::full());
+        let (table, _) = recover_sweep(FaultPlan::none(0xFA17), RecoveryPlan::full());
         let unsound_at = |guard: &str| -> u64 {
             table
                 .lines()
@@ -322,8 +216,8 @@ mod tests {
         // Same seed derivation, same duration: the `none` rung must
         // agree with `repro faults sweep` on the shared columns.
         let base = FaultPlan::none(0xFA17);
-        let faults = crate::faults_cmd::faults_sweep(base);
-        let recover = recover_sweep(base, RecoveryPlan::full());
+        let (faults, _) = crate::faults_cmd::faults_sweep(base);
+        let (recover, _) = recover_sweep(base, RecoveryPlan::full());
         let faults_unsound = |engine: &str, rate: &str| -> String {
             faults
                 .lines()
@@ -354,6 +248,14 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn recovery_table_is_pinned() {
+        // Pins the artifact's bytes (FNV-1a) across builds; CI's
+        // recovery smoke only diffs two runs of one build.
+        let table = run_recover_command(&["sweep".to_string()]).unwrap();
+        assert_eq!(fnv1a(0, table.bytes()), 0x185b_7937_531a_198c, "{table}");
     }
 
     #[test]

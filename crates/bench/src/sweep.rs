@@ -16,7 +16,7 @@ use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
 
 use moat_core::MoatConfig;
-use moat_fleet::RetryPolicy;
+use moat_fleet::{panic_message, RetryPolicy};
 use moat_sim::{PerfReport, SlotBudget};
 use moat_workloads::WorkloadProfile;
 use rayon::prelude::*;
@@ -87,17 +87,19 @@ impl SweepStats {
 
 /// The crash-isolated outcome of one sweep cell.
 ///
-/// Produced by [`try_run_cells`]: a cell whose `run` closure panics is
-/// caught and retried under the harness's [`RetryPolicy`]
-/// (deterministic exponential backoff — a transient cause gets a moment
-/// to clear); a cell that panics on every attempt is reported here as
-/// [`CellOutcome::Failed`] instead of tearing down the sibling workers.
-/// Outcomes come back in input order like every other sweep result.
+/// Produced by [`try_run_cells`] (and `repro arena`'s queue): a cell
+/// whose `run` closure panics is caught and retried under
+/// [`RetryPolicy::sweep_default`] (deterministic backoff — a transient
+/// cause gets a moment to clear); a cell that panics on every attempt
+/// is reported here as [`CellOutcome::Failed`] instead of tearing down
+/// the sibling workers. Outcomes come back in input order like every
+/// other sweep result.
 #[derive(Debug, Clone)]
 pub enum CellOutcome<R> {
     /// The cell completed (possibly only on a retry).
     Ok {
-        /// The attempt that succeeded (1 = the initial run).
+        /// The attempt that succeeded (1 = the initial run; 0 = a
+        /// `repro arena` cell replayed from its checkpoint, not run).
         attempts: u32,
         /// The cell's result.
         result: R,
@@ -126,28 +128,43 @@ impl<R> CellOutcome<R> {
     }
 }
 
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "non-string panic payload".to_string()
+/// Runs one cell crash-isolated: `run` executes under
+/// [`std::panic::catch_unwind`], retried under
+/// [`RetryPolicy::sweep_default`] — one retry after a deterministic
+/// 50 ms backoff. This is the one isolation path of every `repro` grid:
+/// [`try_run_cells`] fans it across the worker pool, and `repro arena`
+/// calls it per cell on its own `--threads` queue.
+pub(crate) fn isolate<R>(run: impl Fn() -> R) -> CellOutcome<R> {
+    match RetryPolicy::sweep_default().run(|_| panic::catch_unwind(AssertUnwindSafe(&run))) {
+        (Ok(result), attempts) => CellOutcome::Ok { attempts, result },
+        (Err(payload), attempts) => CellOutcome::Failed {
+            attempts,
+            message: panic_message(payload),
+        },
     }
+}
+
+/// FNV-1a over `bytes`, its offset basis XORed with `seed`: the one hash
+/// behind per-cell fault seeds and checkpoint keys. Stable across
+/// platforms and releases, unlike `std`'s hashers.
+pub(crate) fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
+    bytes
+        .into_iter()
+        .fold(0xCBF2_9CE4_8422_2325 ^ seed, |h, b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
+        })
 }
 
 /// Runs independent experiment cells in parallel with crash isolation,
 /// returning per-cell outcomes in input order plus aggregate timing.
 ///
-/// Each cell's `run` call executes under [`std::panic::catch_unwind`],
-/// so a panicking cell never kills its sibling workers or loses their
-/// results. A crashed cell retries under [`RetryPolicy::sweep_default`]
-/// — one retry after a deterministic 50 ms backoff (a transient cause,
-/// an evicted cache file or briefly exhausted resource, often clears);
-/// a cell that panics on every attempt is marked
-/// [`CellOutcome::Failed`] with the panic message. Failed cells
-/// contribute their wall time to [`SweepStats::cell_seconds`] but no
-/// activations to `total_acts`.
+/// Each cell runs through `isolate`, so a panicking cell never kills
+/// its sibling workers or loses their results. A crashed cell retries
+/// once after a deterministic 50 ms backoff (a transient cause, an
+/// evicted cache file or briefly exhausted resource, often clears); a
+/// cell that panics on every attempt is marked [`CellOutcome::Failed`]
+/// with the panic message. Failed cells contribute their wall time to
+/// [`SweepStats::cell_seconds`] but no activations to `total_acts`.
 ///
 /// `run` must be a pure function of the cell (each cell seeds its own
 /// simulators), which keeps the parallel run bit-identical to a serial
@@ -161,41 +178,21 @@ where
     R: Send,
     F: Fn(C) -> (R, u64) + Sync,
 {
-    try_run_cells_with_policy(cells, run, RetryPolicy::sweep_default())
-}
-
-/// [`try_run_cells`] with an explicit [`RetryPolicy`] — the shared
-/// retry machinery the fleet supervisor also builds on. The policy's
-/// backoff schedule is deterministic (no jitter), so retried sweeps
-/// stay bit-reproducible.
-pub fn try_run_cells_with_policy<C, R, F>(
-    cells: Vec<C>,
-    run: F,
-    policy: RetryPolicy,
-) -> (Vec<(CellOutcome<R>, f64)>, SweepStats)
-where
-    C: Send + Clone,
-    R: Send,
-    F: Fn(C) -> (R, u64) + Sync,
-{
     let start = Instant::now();
     let timed: Vec<(CellOutcome<R>, u64, f64)> = cells
         .into_par_iter()
         .map(|cell| {
             let cell_start = Instant::now();
-            let (result, attempts) =
-                policy.run(|_attempt| panic::catch_unwind(AssertUnwindSafe(|| run(cell.clone()))));
-            let outcome = match result {
-                Ok((result, acts)) => (CellOutcome::Ok { attempts, result }, acts),
-                Err(payload) => (
-                    CellOutcome::Failed {
-                        attempts,
-                        message: panic_message(payload),
-                    },
-                    0,
-                ),
+            let (outcome, acts) = match isolate(|| run(cell.clone())) {
+                CellOutcome::Ok {
+                    attempts,
+                    result: (result, acts),
+                } => (CellOutcome::Ok { attempts, result }, acts),
+                CellOutcome::Failed { attempts, message } => {
+                    (CellOutcome::Failed { attempts, message }, 0)
+                }
             };
-            (outcome.0, outcome.1, cell_start.elapsed().as_secs_f64())
+            (outcome, acts, cell_start.elapsed().as_secs_f64())
         })
         .collect();
 
@@ -446,30 +443,11 @@ mod tests {
     }
 
     #[test]
-    fn retry_policy_knob_controls_attempt_budget() {
-        use std::sync::atomic::{AtomicU32, Ordering};
-        use std::time::Duration;
-
-        let calls = AtomicU32::new(0);
-        let policy = RetryPolicy::with_attempts(3, Duration::from_millis(0));
-        let (outcomes, _) = try_run_cells_with_policy(
-            vec![0u32],
-            |_| {
-                let n = calls.fetch_add(1, Ordering::SeqCst) + 1;
-                if n < 3 {
-                    panic!("flaky until third attempt");
-                }
-                (n, 1u64)
-            },
-            policy,
-        );
-        match &outcomes[0].0 {
-            CellOutcome::Ok { attempts, result } => {
-                assert_eq!(*attempts, 3, "a 3-attempt policy survives two panics");
-                assert_eq!(*result, 3);
-            }
-            CellOutcome::Failed { message, .. } => panic!("policy exhausted early: {message}"),
-        }
+    fn fnv1a_matches_the_reference_vectors() {
+        assert_eq!(fnv1a(0, []), 0xCBF2_9CE4_8422_2325);
+        assert_eq!(fnv1a(0, *b"a"), 0xAF63_DC4C_8601_EC8C);
+        assert_eq!(fnv1a(0, *b"foobar"), 0x8594_4171_F739_67E8);
+        assert_ne!(fnv1a(1, *b"a"), fnv1a(0, *b"a"), "the seed moves the basis");
     }
 
     #[test]

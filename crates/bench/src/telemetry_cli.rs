@@ -9,7 +9,7 @@
 //! output, so the disarmed artifacts CI diffs byte-for-byte (the fleet
 //! report, the chaos table) are untouched.
 
-use moat_telemetry::{MetricsRegistry, TelemetryConfig, TelemetrySink};
+use moat_telemetry::{MetricsRegistry, TelemetryConfig, TelemetryLevel, TelemetrySink};
 
 /// Resolves the effective telemetry configuration for a subcommand.
 ///
@@ -38,6 +38,20 @@ pub fn render_registry(reg: &MetricsRegistry, sink: TelemetrySink) -> String {
             s.push('\n');
             s
         }
+    }
+}
+
+/// `artifact` as a subcommand prints it: unchanged when `tel` is off,
+/// else followed by a blank line and `reg` rendered for `tel`'s sink.
+pub(crate) fn append_registry(
+    artifact: String,
+    reg: &MetricsRegistry,
+    tel: TelemetryConfig,
+) -> String {
+    if tel.level == TelemetryLevel::Off {
+        artifact
+    } else {
+        format!("{artifact}\n{}", render_registry(reg, tel.sink))
     }
 }
 

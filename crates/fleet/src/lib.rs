@@ -43,7 +43,7 @@ pub mod topology;
 
 pub use faults::{FleetFaultPlan, ShardFault};
 pub use report::{FleetReport, FleetStats, Incident};
-pub use retry::RetryPolicy;
+pub use retry::{panic_message, RetryPolicy};
 pub use shard::{run_shard, ShardReport};
 pub use supervisor::{
     FleetConfig, FleetSupervisor, QuarantineReason, ShardOutcome, ShardState, ShardStore,

@@ -1,5 +1,5 @@
 //! Deterministic retry policies shared by the sweep harness and the
-//! fleet supervisor.
+//! fleet supervisor, and the panic-payload text both report.
 //!
 //! Both layers face the same problem — a unit of work (a sweep cell, a
 //! shard attempt) that crashed or timed out and deserves another chance
@@ -10,6 +10,7 @@
 //! policies make identical retry decisions and sleep identical durations;
 //! only the wall clock differs.
 
+use std::any::Any;
 use std::time::Duration;
 
 /// A bounded-attempts, deterministic-exponential-backoff retry policy.
@@ -104,6 +105,18 @@ impl RetryPolicy {
     }
 }
 
+/// Renders a caught panic payload as text: the `&str` or `String` a
+/// `panic!` carries, or a fixed fallback for any other payload type.
+pub fn panic_message(payload: Box<dyn Any + Send>) -> String {
+    match payload.downcast::<String>() {
+        Ok(s) => *s,
+        Err(payload) => payload.downcast_ref::<&str>().map_or_else(
+            || "non-string panic payload".to_string(),
+            |s| (*s).to_string(),
+        ),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -155,6 +168,17 @@ mod tests {
             Err::<(), _>(())
         });
         assert_eq!((calls, attempts), (1, 1), "max_attempts 1 means no retry");
+    }
+
+    #[test]
+    fn panic_message_renders_every_payload() {
+        let caught = |f: fn()| std::panic::catch_unwind(f).unwrap_err();
+        assert_eq!(panic_message(caught(|| panic!("static"))), "static");
+        assert_eq!(panic_message(caught(|| panic!("shard {}", 3))), "shard 3");
+        assert_eq!(
+            panic_message(caught(|| std::panic::panic_any(7u32))),
+            "non-string panic payload"
+        );
     }
 
     #[test]

@@ -36,7 +36,7 @@ use moat_guard::RecoveryPlan;
 
 use crate::faults::FleetFaultPlan;
 use crate::report::{FleetReport, FleetStats};
-use crate::retry::RetryPolicy;
+use crate::retry::{panic_message, RetryPolicy};
 use crate::shard::{run_shard, ShardReport};
 use crate::topology::{FleetTopology, ShardId};
 
@@ -179,21 +179,16 @@ pub struct ShardOutcome {
     pub replayed: bool,
 }
 
-/// A store of completed shard records for checkpoint/resume. Only
-/// successful shards are recorded — a quarantined shard re-runs on
-/// resume, because the interruption may have *been* the failure.
+/// A store of completed shard records for checkpoint/resume. Each
+/// shard is recorded the moment it completes live, so a run killed
+/// midway keeps every shard it finished. Only successful shards are
+/// recorded — a quarantined shard re-runs on resume, because the
+/// interruption may have *been* the failure.
 pub trait ShardStore: Sync {
     /// The recorded line for `shard`, if any.
     fn lookup(&self, shard: u32) -> Option<String>;
     /// Durably records `record` for `shard`.
     fn record(&self, shard: u32, record: &str);
-}
-
-/// What one attempt produced, as seen by the watchdog.
-enum Attempt {
-    Done(Box<ShardReport>),
-    Panicked(String),
-    TimedOut,
 }
 
 /// The fleet supervisor: runs every shard under watchdog + retry +
@@ -239,13 +234,6 @@ impl FleetSupervisor {
             threads.max(1),
         );
         outcomes.sort_by_key(|o| o.shard.index);
-        if let Some(store) = store {
-            for outcome in &outcomes {
-                if let (Some(report), false) = (&outcome.report, outcome.replayed) {
-                    store.record(outcome.shard.index, &report.to_record());
-                }
-            }
-        }
         let simulated_acts: u64 = outcomes
             .iter()
             .filter_map(|o| o.report.as_ref())
@@ -261,8 +249,10 @@ impl FleetSupervisor {
     }
 }
 
-/// Supervises one shard: checkpoint replay, then the watchdog + retry
-/// loop, then classification into a [`ShardOutcome`].
+/// Supervises one shard: checkpoint replay, then watched attempts under
+/// [`FleetConfig::retry`], then classification into a [`ShardOutcome`].
+/// A shard that completes live is recorded in `store` at once, so an
+/// interrupted run keeps every shard finished before the interruption.
 fn supervise_shard(
     config: &FleetConfig,
     index: u32,
@@ -283,59 +273,50 @@ fn supervise_shard(
         }
     }
 
-    let fault = config.faults.shard_fault(index, config.retry.max_attempts);
-    let max_attempts = config.retry.max_attempts.max(1);
-    let mut last_error = String::new();
-
-    for attempt in 1..=max_attempts {
-        if let Some(backoff) = config.retry.backoff_before(attempt) {
-            std::thread::sleep(backoff);
-        }
-        match run_attempt(config, shard, attempt) {
-            Attempt::Done(report) => {
-                let state = if attempt == 1 {
+    let (result, attempts) = config
+        .retry
+        .run(|attempt| run_attempt(config, shard, attempt));
+    match result {
+        Ok(report) => {
+            if let Some(store) = store {
+                store.record(index, &report.to_record());
+            }
+            ShardOutcome {
+                shard,
+                state: if attempts == 1 {
                     ShardState::Completed
                 } else {
-                    ShardState::Recovered { attempts: attempt }
-                };
-                return ShardOutcome {
-                    shard,
-                    state,
-                    report: Some(*report),
-                    error: None,
-                    replayed: false,
-                };
-            }
-            Attempt::Panicked(message) => last_error = message,
-            Attempt::TimedOut => {
-                last_error = format!("watchdog deadline {:?} exceeded", config.deadline);
+                    ShardState::Recovered { attempts }
+                },
+                report: Some(report),
+                error: None,
+                replayed: false,
             }
         }
-        let _ = attempt;
-    }
-
-    let reason = if fault.stall || last_error.starts_with("watchdog deadline") {
-        QuarantineReason::Timeout
-    } else {
-        QuarantineReason::Crash
-    };
-    ShardOutcome {
-        shard,
-        state: ShardState::Quarantined {
-            reason,
-            attempts: max_attempts,
-        },
-        report: None,
-        error: Some(last_error),
-        replayed: false,
+        Err(error) => {
+            let fault = config.faults.shard_fault(index, config.retry.max_attempts);
+            let reason = if fault.stall || error.starts_with("watchdog deadline") {
+                QuarantineReason::Timeout
+            } else {
+                QuarantineReason::Crash
+            };
+            ShardOutcome {
+                shard,
+                state: ShardState::Quarantined { reason, attempts },
+                report: None,
+                error: Some(error),
+                replayed: false,
+            }
+        }
     }
 }
 
 /// One watched attempt: the shard body runs on a dedicated thread; the
 /// supervisor waits at most [`FleetConfig::deadline`] for its verdict.
-/// A timed-out worker is cancelled via a shared flag and detached — a
-/// genuinely wedged worker cannot block its supervisor.
-fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Attempt {
+/// A panic or a timeout is the attempt's `Err` message. A timed-out
+/// worker is cancelled via a shared flag and detached — a genuinely
+/// wedged worker cannot block its supervisor.
+fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Result<ShardReport, String> {
     let fault = config
         .faults
         .shard_fault(shard.index, config.retry.max_attempts);
@@ -363,32 +344,17 @@ fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Attempt {
     });
 
     match rx.recv_timeout(config.deadline) {
-        Ok(Ok(report)) => {
+        Ok(result) => {
             let _ = handle.join();
-            Attempt::Done(Box::new(report))
-        }
-        Ok(Err(message)) => {
-            let _ = handle.join();
-            Attempt::Panicked(message)
+            result
         }
         Err(_) => {
             cancel.store(true, Ordering::Relaxed);
             // Deliberately do not join: the worker may be wedged beyond
             // the cancellation point. It exits on its own or at process
             // end; the attempt is already charged as failed.
-            Attempt::TimedOut
+            Err(format!("watchdog deadline {:?} exceeded", config.deadline))
         }
-    }
-}
-
-/// Renders a panic payload into the incident message.
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
     }
 }
 
@@ -452,6 +418,36 @@ mod tests {
         let (resumed, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&partial));
         assert_eq!(resumed.render(), full.render());
         assert_eq!(partial.0.lock().unwrap().len(), 4, "live shards recorded");
+    }
+
+    /// A store that, when shard 3 is looked up, snapshots how many
+    /// shards are already recorded.
+    #[derive(Default)]
+    struct SnapshotStore {
+        inner: MemStore,
+        recorded_before_3: Mutex<Option<usize>>,
+    }
+
+    impl ShardStore for SnapshotStore {
+        fn lookup(&self, shard: u32) -> Option<String> {
+            if shard == 3 {
+                *self.recorded_before_3.lock().unwrap() = Some(self.inner.0.lock().unwrap().len());
+            }
+            self.inner.lookup(shard)
+        }
+        fn record(&self, shard: u32, record: &str) {
+            self.inner.record(shard, record);
+        }
+    }
+
+    #[test]
+    fn each_shard_is_recorded_as_it_completes() {
+        // One thread runs the shards in order, so an interruption while
+        // shard 3 runs must find shards 0-2 already in the store.
+        let store = SnapshotStore::default();
+        FleetSupervisor::new(tiny_config()).run_with(&[0, 1, 2, 3], 1, Some(&store));
+        assert_eq!(*store.recorded_before_3.lock().unwrap(), Some(3));
+        assert_eq!(store.inner.0.lock().unwrap().len(), 4);
     }
 
     #[test]
