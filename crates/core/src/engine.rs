@@ -108,6 +108,9 @@ pub struct MoatEngine {
     cma: Option<RowId>,
     /// Trailing-row shadows for safe reset (§4.3).
     shadows: Vec<ShadowCounter>,
+    /// The buffer the next group's shadows are built in, then swapped
+    /// with `shadows`, so a REF allocates nothing.
+    next_shadows: Vec<ShadowCounter>,
     alert_pending: bool,
     /// The single untracked row with the highest known standing count —
     /// attributed so a mitigation of exactly that row can retire the
@@ -141,6 +144,7 @@ impl MoatEngine {
             max_idx: 0,
             cma: None,
             shadows: Vec::with_capacity(config.shadow_slots as usize),
+            next_shadows: Vec::with_capacity(config.shadow_slots as usize),
             alert_pending: false,
             hazard_row: None,
             hazard_count: 0,
@@ -434,19 +438,18 @@ impl MitigationEngine for MoatEngine {
                 // are not yet refreshed). Pre-reset counts are preserved,
                 // shadow-aware in case a trailing row was already shadowed.
                 let slots = self.config.shadow_slots.min(rows.len() as u32);
-                let new_shadows: Vec<ShadowCounter> = (0..slots)
-                    .map(|i| {
-                        let row = RowId::new(rows.end - 1 - i);
-                        let in_array = counter_of(row);
-                        let count = self
-                            .shadows
-                            .iter()
-                            .find(|s| s.row == row)
-                            .map_or(in_array.get(), |s| s.count);
-                        ShadowCounter { row, count }
-                    })
-                    .collect();
-                self.shadows = new_shadows;
+                let old = &self.shadows;
+                self.next_shadows.clear();
+                self.next_shadows.extend((0..slots).map(|i| {
+                    let row = RowId::new(rows.end - 1 - i);
+                    let in_array = counter_of(row);
+                    let count = old
+                        .iter()
+                        .find(|s| s.row == row)
+                        .map_or(in_array.get(), |s| s.count);
+                    ShadowCounter { row, count }
+                }));
+                core::mem::swap(&mut self.shadows, &mut self.next_shadows);
             }
         }
     }
@@ -725,6 +728,28 @@ mod tests {
         assert_eq!(
             m.effective_counter(RowId::new(15), ActCount::new(0)).get(),
             40
+        );
+    }
+
+    #[test]
+    fn shadow_carried_over_when_group_refreshes_again() {
+        // A trailing row that is still shadowed when its group is
+        // refreshed again keeps its shadow count: the in-array counter
+        // reads 60 but the shadow has seen one more activation (61).
+        let mut m = engine();
+        let mut counts = [0u32; 8];
+        counts[6] = 50;
+        counts[7] = 60;
+        m.on_refresh_group(0..8, &mut |r: RowId| ActCount::new(counts[r.as_usize()]));
+        m.on_precharge_update(RowId::new(7), ActCount::new(1)); // shadow 61
+        assert_eq!(m.shadow_count(RowId::new(7)), Some(61));
+        counts[6] = 5;
+        m.on_refresh_group(0..8, &mut |r: RowId| ActCount::new(counts[r.as_usize()]));
+        assert_eq!(m.shadow_count(RowId::new(7)), Some(61), "shadow kept");
+        assert_eq!(m.shadow_count(RowId::new(6)), Some(50), "shadow kept");
+        assert_eq!(
+            m.effective_counter(RowId::new(7), ActCount::new(60)).get(),
+            61
         );
     }
 

@@ -263,9 +263,13 @@ fn supervise_shard(
     if let Some(record) = store.and_then(|s| s.lookup(index)) {
         // A corrupt record falls through to a live re-run.
         if let Some(report) = ShardReport::parse(&record).filter(|r| r.shard_index == index) {
+            // The record does not carry the attempts; the seeded plan
+            // does. A recorded shard succeeded on the first attempt its
+            // plan does not crash, as the live run did.
+            let fault = config.faults.shard_fault(index, config.retry.max_attempts);
             return ShardOutcome {
                 shard,
-                state: ShardState::Completed,
+                state: settled(fault.crash_attempts + 1),
                 report: Some(report),
                 error: None,
                 replayed: true,
@@ -283,11 +287,7 @@ fn supervise_shard(
             }
             ShardOutcome {
                 shard,
-                state: if attempts == 1 {
-                    ShardState::Completed
-                } else {
-                    ShardState::Recovered { attempts }
-                },
+                state: settled(attempts),
                 report: Some(report),
                 error: None,
                 replayed: false,
@@ -308,6 +308,15 @@ fn supervise_shard(
                 replayed: false,
             }
         }
+    }
+}
+
+/// The state of a shard whose attempt number `attempts` succeeded.
+fn settled(attempts: u32) -> ShardState {
+    if attempts == 1 {
+        ShardState::Completed
+    } else {
+        ShardState::Recovered { attempts }
     }
 }
 
@@ -404,20 +413,34 @@ mod tests {
 
     #[test]
     fn resume_replays_recorded_shards_bit_identically() {
-        let sup = FleetSupervisor::new(tiny_config());
-        let store = MemStore::default();
-        // Seed the store with two shards' records, as if a prior run
-        // was interrupted after completing them.
-        let (full, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&store));
-        assert_eq!(store.0.lock().unwrap().len(), 4);
-        let partial = MemStore::default();
-        for shard in [1u32, 2] {
-            let record = store.lookup(shard).unwrap();
-            partial.record(shard, &record);
+        // A clean fleet, and one whose crash plan has the recorded shards
+        // 1 and 2 succeed on their third attempt (shard 0 on its second).
+        let crash = FleetFaultPlan::parse("seed=42,crash=0.5").unwrap();
+        for (config, replayed_state) in [
+            (tiny_config(), ShardState::Completed),
+            (
+                tiny_config().with_faults(crash),
+                ShardState::Recovered { attempts: 3 },
+            ),
+        ] {
+            let sup = FleetSupervisor::new(config);
+            let store = MemStore::default();
+            // Seed the store with two shards' records, as if a prior run
+            // was interrupted after completing them.
+            let (full, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&store));
+            assert_eq!(store.0.lock().unwrap().len(), 4);
+            let partial = MemStore::default();
+            for shard in [1u32, 2] {
+                let record = store.lookup(shard).unwrap();
+                partial.record(shard, &record);
+            }
+            let (resumed, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&partial));
+            assert_eq!(resumed.render(), full.render());
+            assert_eq!(partial.0.lock().unwrap().len(), 4, "live shards recorded");
+            let replay = supervise_shard(&config, 1, Some(&partial));
+            assert!(replay.replayed);
+            assert_eq!(replay.state, replayed_state);
         }
-        let (resumed, _) = sup.run_with(&[0, 1, 2, 3], 2, Some(&partial));
-        assert_eq!(resumed.render(), full.render());
-        assert_eq!(partial.0.lock().unwrap().len(), 4, "live shards recorded");
     }
 
     /// A store that, when shard 3 is looked up, snapshots how many

@@ -219,6 +219,17 @@ struct IssueState {
     ref_due: Nanos,
 }
 
+/// The lookahead's duplicate-skip key: `bank << 32 | row` in one `u64`,
+/// so two requests share a key exactly when they share bank and row.
+#[inline]
+fn lookahead_key(req: &Request) -> u64 {
+    (u64::from(req.bank.index()) << 32) | u64::from(req.row.index())
+}
+
+/// The key before a chunk's first lookahead. No request reaches it: a
+/// bank index is 16 bits wide, so every key is below `1 << 48`.
+const NO_LOOKAHEAD_KEY: u64 = u64::MAX;
+
 /// Folds the change in a unit's `alert_pending` across `op` into the
 /// sub-channel's pending-alert count.
 #[inline]
@@ -398,20 +409,20 @@ impl<E: MitigationEngine> PerfSim<E> {
     }
 
     /// Counts the prefetch hints [`issue_chunk`](Self::issue_chunk) will
-    /// emit for `chunk` — the same lookahead, duplicate-skip, and
-    /// bank-range rules, evaluated without touching the units. Only run
-    /// when telemetry is armed; keeps the hint accounting out of the
-    /// issue loop.
+    /// emit for `chunk` — the same lookahead, duplicate-skip (one
+    /// compare of the packed [`lookahead_key`]), and bank-range rules,
+    /// evaluated without touching the units. Only run when telemetry is
+    /// armed; keeps the hint accounting out of the issue loop.
     fn prefetch_hint_count(chunk: &[Request], n_units: usize) -> u64 {
-        let mut last_hint: Option<(BankId, RowId)> = None;
+        let mut last_key = NO_LOOKAHEAD_KEY;
         let mut hints = 0u64;
         for i in 0..chunk.len() {
             if let Some(ahead) = chunk.get(i + PREFETCH_DISTANCE) {
-                let hint = (ahead.bank, ahead.row);
-                if last_hint != Some(hint) && ahead.bank.as_usize() < n_units {
+                let key = lookahead_key(ahead);
+                if key != last_key && ahead.bank.as_usize() < n_units {
                     hints += 1;
                 }
-                last_hint = Some(hint);
+                last_key = key;
             }
         }
         hints
@@ -421,9 +432,14 @@ impl<E: MitigationEngine> PerfSim<E> {
     /// activity window closing — is a straight line; requests that
     /// straddle an episode boundary drop into
     /// [`resolve_straddle`](Self::resolve_straddle).
+    ///
+    /// The lookahead skips a request whose packed [`lookahead_key`]
+    /// equals the previous one's: one `u64` compare, because comparing
+    /// the bank first mispredicts at the scaled sweep's 2-bank shape,
+    /// where half of all consecutive requests switch bank.
     fn issue_chunk(&mut self, chunk: &[Request], st: &mut IssueState) {
         let n_units = self.units.len();
-        let mut last_hint: Option<(BankId, RowId)> = None;
+        let mut last_key = NO_LOOKAHEAD_KEY;
         for (i, req) in chunk.iter().enumerate() {
             // The chunk is the lookahead window: start loading the
             // row-indexed state of a request several positions ahead so
@@ -433,12 +449,12 @@ impl<E: MitigationEngine> PerfSim<E> {
             // Out-of-range banks are skipped too; the issue itself still
             // panics on them below.
             if let Some(ahead) = chunk.get(i + PREFETCH_DISTANCE) {
-                let hint = (ahead.bank, ahead.row);
+                let key = lookahead_key(ahead);
                 let b = ahead.bank.as_usize();
-                if last_hint != Some(hint) && b < n_units {
+                if key != last_key && b < n_units {
                     self.units[b].prefetch_activate(ahead.row);
                 }
-                last_hint = Some(hint);
+                last_key = key;
             }
             self.issue_request(req, st);
         }
@@ -749,6 +765,64 @@ mod tests {
                 let got = sim.run(mk());
                 assert_eq!(got, expect, "stream {si}, chunk {chunk}");
             }
+        }
+    }
+
+    /// A fixed 2-bank stream whose consecutive `(bank, row)` pairs mix
+    /// every case the lookahead key must tell apart: exact repeats (one
+    /// hint), the same row on the other bank, and (bank 0, row 1) /
+    /// (bank 1, row 0) pairs that a sum or XOR of bank and row would
+    /// merge. The hot rows 0 and 1 also drive ALERTs and RFMs.
+    fn lookahead_stream() -> impl Iterator<Item = Request> {
+        (0..6000u32).map(|i| {
+            let r = 2 + (i / 8 * 37) % 4000;
+            let (bank, row) = match i % 8 {
+                0 => (0, 1),
+                1 => (1, 0),
+                2 | 3 => (0, r),
+                4 => (1, r),
+                5 => (1, 0),
+                6 => (0, 1),
+                _ => (0, 0),
+            };
+            Request {
+                gap: Nanos::new(11),
+                bank: BankId::new(bank),
+                row: RowId::new(row),
+            }
+        })
+    }
+
+    #[test]
+    fn lookahead_dedup_rule_is_pinned() {
+        // Pinned values: the prefetch hints counted under telemetry and
+        // the report must not move when the lookahead key changes form.
+        let expect = PerfReport {
+            completion_time: Nanos::new(246_956),
+            total_acts: 6000,
+            alerts: 31,
+            rfms: 31,
+            refs: 63,
+            proactive_mitigations: 20,
+            reactive_mitigations: 52,
+            alerts_per_trefi: 0.489_560_893_438_507_2,
+            mitigations_per_bank_per_trefw: 4_664.798_587_602_65,
+            max_pressure: 99,
+            max_epoch: 66,
+        };
+        for (chunk, hints) in [(DEFAULT_CHUNK, 5190u64), (61, 4223)] {
+            let mut sim = PerfSim::new(small_cfg(2, true), || {
+                MoatEngine::new(MoatConfig::paper_default())
+            });
+            sim.set_chunk_size(chunk);
+            let mut tracer = moat_telemetry::Tracer::full();
+            let got = sim.run_traced(lookahead_stream(), &mut tracer);
+            assert_eq!(
+                tracer.profile().units(SimPhase::Prefetch),
+                hints,
+                "chunk {chunk}"
+            );
+            assert_eq!(got, expect, "chunk {chunk}");
         }
     }
 
