@@ -1,5 +1,7 @@
-//! Ablation studies beyond the paper's tables: design choices DESIGN.md
-//! calls out, each isolating one mechanism.
+//! Ablation studies beyond the paper's tables, each isolating one design
+//! choice: the contiguous refresh order behind §4.3's safe reset
+//! (`ablation-refresh`), the tracker class of Fig. 1a
+//! (`ablation-trackers`), and §6.5's energy accounting (`energy`).
 
 use moat_attacks::{BlacksmithAttacker, StraddleAttacker};
 use moat_core::{MoatConfig, MoatEngine};

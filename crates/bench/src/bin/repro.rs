@@ -1,8 +1,10 @@
-//! Command-line reproduction runner (same experiments as the bench
-//! target, invocable via `cargo run -p moat-bench --bin repro`).
+//! Command-line reproduction runner: regenerates every table and figure
+//! of the paper's evaluation (`cargo run --release -p moat-bench --bin
+//! repro -- all`). Each experiment's host wall time goes to stderr as
+//! `[<name> took X.Xs]`; stdout carries only the canonical output.
 //!
 //! Usage:
-//!   repro list                  list experiment names
+//!   repro list                  list experiment and subcommand names
 //!   repro all [--full]          run everything, checkpointing each
 //!                               experiment's output as it completes
 //!   repro all --resume          resume a crashed `all` run: replay the
@@ -57,17 +59,10 @@
 //!   repro --json --baseline `<file>`
 //!                               perf smoke: additionally compare against
 //!                               a committed BENCH_perf.json and exit
-//!                               non-zero if uniform_mono_acts_per_sec,
-//!                               sweep_acts_per_sec,
-//!                               security_batched_acts_per_sec,
-//!                               adaptive_batched_acts_per_sec,
-//!                               full_sweep_acts_per_sec,
-//!                               fleet_acts_per_sec, or
-//!                               arena_acts_per_sec regressed by
-//!                               more than 20% (the thread-scaled sweep,
-//!                               full_sweep, fleet and arena gates are
-//!                               skipped when this run's thread count
-//!                               differs from the baseline's)
+//!                               non-zero if a gated metric regressed by
+//!                               more than 20% (the gates and their
+//!                               thread-count rule are defined in
+//!                               `crates/bench/src/perfbench.rs`)
 //!
 //! The performance sweeps fan their (profile × config) cells across all
 //! cores; `--full` selects the paper-size configuration (32 banks,
@@ -76,6 +71,8 @@
 //! records every stream once, every later sweep cell (and every later
 //! run) replays the mmap'd bytes.
 
+use std::time::Instant;
+
 use moat_bench::{
     bench_perf, effective_config, render_registry, run_arena_command, run_experiment,
     run_faults_command, run_fleet_command, run_recover_command, run_trace_command, Checkpoint,
@@ -83,13 +80,14 @@ use moat_bench::{
 };
 use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
 
-/// Allowed fractional drop of any of the seven gated metrics
-/// (`uniform_mono_acts_per_sec`, `sweep_acts_per_sec`,
-/// `security_batched_acts_per_sec`, `adaptive_batched_acts_per_sec`,
-/// `full_sweep_acts_per_sec`, `fleet_acts_per_sec`,
-/// `arena_acts_per_sec`) before the `--baseline` perf smoke fails the
-/// run.
+/// Allowed fractional drop of any gated metric (the fields
+/// `crates/bench/src/perfbench.rs` records with a gate) before the
+/// `--baseline` perf smoke fails the run.
 const MAX_PERF_REGRESSION: f64 = 0.20;
+
+/// The subcommands `main` dispatches besides the experiments; `repro
+/// list` prints them after [`ALL_EXPERIMENTS`].
+const SUBCOMMANDS: [&str; 6] = ["bench", "trace", "faults", "recover", "arena", "fleet"];
 
 /// Writes `contents` to `path` with the same atomic tmp + `rename(2)`
 /// publish discipline as the trace cache and the experiment checkpoints:
@@ -165,10 +163,9 @@ fn main() {
         std::process::exit(2);
     }
     if args.first().is_some_and(|a| a == "list") {
-        for name in ALL_EXPERIMENTS {
+        for name in ALL_EXPERIMENTS.iter().chain(&SUBCOMMANDS) {
             println!("{name}");
         }
-        println!("fig13\nstorage\nbench\ntrace\nfleet\nrecover\narena");
         return;
     }
     // Subcommands parse their own arguments. `--resume` was stripped
@@ -215,10 +212,7 @@ fn main() {
         std::process::exit(2);
     }
     let selected: Vec<String> = if all_mode {
-        let mut v: Vec<String> = ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect();
-        v.push("fig13".into());
-        v.push("storage".into());
-        v
+        ALL_EXPERIMENTS.iter().map(|s| s.to_string()).collect()
     } else {
         args
     };
@@ -252,10 +246,17 @@ fn main() {
     let mut failed = false;
     let mut bench_report = None;
     let mut tel_reg = MetricsRegistry::new();
+    // Host wall time per experiment goes to stderr, so stdout stays
+    // byte-comparable across runs.
+    let took = |name: &str, start: Instant| {
+        eprintln!("[{name} took {:.1}s]", start.elapsed().as_secs_f64());
+    };
     for name in &selected {
+        let start = Instant::now();
         if name == "bench" {
             let report = bench_perf(scale);
             println!("{}", report.summary());
+            took(name, start);
             bench_report = Some(report);
             tel_reg.add("repro.experiments.run", 1);
             continue;
@@ -270,6 +271,7 @@ fn main() {
         match run_experiment(name, scale) {
             Some(out) => {
                 println!("{out}");
+                took(name, start);
                 tel_reg.add("repro.experiments.run", 1);
                 if let Some(cp) = &checkpoint {
                     match cp.record(name, &out) {

@@ -1,11 +1,11 @@
 //! # moat-bench — the experiment harness
 //!
 //! One regeneration function per table and figure of the paper's
-//! evaluation (see DESIGN.md's per-experiment index). The `experiments`
-//! bench target (`cargo bench --bench experiments`) runs everything at the
-//! default scale and prints the same rows/series the paper reports;
-//! `MOAT_REPRO_FULL=1` selects the paper-size configuration. Individual
-//! experiments: `cargo bench --bench experiments -- fig11`.
+//! evaluation, dispatched by name through [`run_experiment`] (the names,
+//! in paper order, are [`ALL_EXPERIMENTS`]). The `repro` binary runs
+//! them and prints the same rows/series the paper reports: `repro all`
+//! runs everything at the default scale, `repro fig11` one experiment,
+//! and `--full` selects the paper-size configuration.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -70,8 +70,9 @@ pub fn storage() -> String {
     out
 }
 
-/// All experiment names in paper order, followed by the ablations.
-pub const ALL_EXPERIMENTS: [&str; 17] = [
+/// All experiment names in paper order, followed by the ablations, then
+/// Fig. 13 and the storage table: the order `repro all` runs them in.
+pub const ALL_EXPERIMENTS: [&str; 19] = [
     "table2",
     "fig5",
     "fig7",
@@ -89,6 +90,8 @@ pub const ALL_EXPERIMENTS: [&str; 17] = [
     "ablation-refresh",
     "ablation-trackers",
     "energy",
+    "fig13",
+    "storage",
 ];
 
 /// Runs an experiment by name (figures 13 and storage are included under
@@ -124,7 +127,7 @@ mod tests {
     #[test]
     fn every_listed_experiment_dispatches() {
         // Dispatch-only check for the cheap ones; the expensive perf
-        // sweeps are covered by the bench target itself.
+        // sweeps are run by `repro all` and `repro <name>`, not here.
         for name in ["fig8", "storage"] {
             assert!(run_experiment(name, Scale::scaled()).is_some());
         }

@@ -30,12 +30,12 @@ use crate::scale::Scale;
 use crate::sweep::{run_sweep, SweepCell};
 
 /// Default budget of cached requests across all in-memory materialized
-/// workload streams: 16 M requests ≈ 192 MB. The scaled configuration's
-/// 21 profiles sum to ~9 M requests and fit comfortably; at paper scale
-/// the estimates blow past the budget and the lab **spills to the
-/// mmap-backed trace cache** instead — recorded once, replayed zero-copy
-/// by every subsequent cell (and every subsequent run, via the on-disk
-/// [`TraceCache`]).
+/// workload streams: 16 M requests ≈ 256 MB (a `Request` is 16 bytes).
+/// The scaled configuration's 21 profiles sum to ~9 M requests and fit
+/// comfortably; at paper scale the estimates blow past the budget and
+/// the lab **spills to the mmap-backed trace cache** instead — recorded
+/// once, replayed zero-copy by every subsequent cell (and every
+/// subsequent run, via the on-disk [`TraceCache`]).
 const STREAM_CACHE_BUDGET: u64 = 16_000_000;
 
 /// The generator seed every performance experiment runs with (part of

@@ -2,6 +2,10 @@
 //! monomorphized hot path against the boxed (dynamic-dispatch) path and
 //! the parallel sweep against a serial run, and serializes the numbers to
 //! `BENCH_perf.json` so the perf trajectory is tracked across PRs.
+//!
+//! Each measurement appends its fields (key, value, JSON precision,
+//! gate kind — each written once) and its summary line to one
+//! [`PerfBenchReport`]; the JSON, the gate and the summary loop over it.
 
 use std::time::Instant;
 
@@ -30,239 +34,60 @@ use crate::PerfLab;
 /// pass stays in seconds.
 const FULL_SWEEP_PROFILES: [&str; 3] = ["cactuBSSN", "cam4", "blender"];
 
-/// Throughput of one hot-path measurement.
-#[derive(Debug, Clone, Copy)]
-pub struct HotPathResult {
-    /// Simulated ACTs per host second on `PerfSim<MoatEngine>`.
-    pub mono_acts_per_sec: f64,
-    /// Simulated ACTs per host second on `PerfSim<Box<dyn MitigationEngine>>`.
-    pub boxed_acts_per_sec: f64,
-    /// Requests simulated per run.
-    pub acts: u64,
+/// The field holding the parallel sweep's worker-thread count, which
+/// the thread-scaled gates compare with the baseline's.
+const THREADS: &str = "threads";
+
+/// How the `--baseline` perf smoke treats a field. A gated field carries
+/// its line's position in the verdict, which lists the gates in the
+/// order they were introduced rather than in JSON order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Gate {
+    /// Written to the JSON, never compared.
+    Info,
+    /// Compared; the baseline must carry the key.
+    Required(u8),
+    /// Compared when the baseline carries the key (an older one skips it
+    /// with a note); a zero value means "not measured" and skips too.
+    IfPresent(u8),
+    /// As `IfPresent`, but scales with the worker threads: compared only
+    /// when `threads` matches the baseline's, skipped with a note
+    /// otherwise rather than reporting a spurious regression or pass.
+    ThreadScaled(u8),
 }
 
-impl HotPathResult {
-    /// Monomorphized over boxed speedup (dispatch effect only).
-    pub fn speedup(&self) -> f64 {
-        self.mono_acts_per_sec / self.boxed_acts_per_sec.max(1e-9)
-    }
-}
-
-/// Throughput of the security simulator on a scripted attack, per-step
-/// versus the event-horizon loop.
-#[derive(Debug, Clone, Copy)]
-pub struct SecurityPathResult {
-    /// Simulated ACTs per host second through the per-step reference
-    /// (`SecuritySim::run` over the `Scripted` adapter).
-    pub step_acts_per_sec: f64,
-    /// Simulated ACTs per host second through the event-horizon loop
-    /// (`SecuritySim::run_semi_scripted`).
-    pub batched_acts_per_sec: f64,
-    /// Attacker activations simulated per run.
-    pub acts: u64,
-}
-
-impl SecurityPathResult {
-    /// Batched over per-step speedup.
-    pub fn speedup(&self) -> f64 {
-        self.batched_acts_per_sec / self.step_acts_per_sec.max(1e-9)
-    }
-}
-
-/// Throughput of the security simulator on the Fig. 5/16 *adaptive*
-/// attacks (Jailbreak on Panopticon, refresh postponement on the
-/// drain-on-REF variant), per-step versus the semi-scripted
-/// event-horizon path (see `measure_adaptive` for why these two cells
-/// make the path-sensitive metric).
-#[derive(Debug, Clone, Copy)]
-pub struct AdaptivePathResult {
-    /// Simulated ACTs per host second through the per-step reference
-    /// (`SecuritySim::run` over the adaptive `Attacker` impls).
-    pub step_acts_per_sec: f64,
-    /// Simulated ACTs per host second through
-    /// `SecuritySim::run_semi_scripted` over the same attacks.
-    pub batched_acts_per_sec: f64,
-    /// Attacker activations simulated per pass over the suite.
-    pub acts: u64,
-}
-
-impl AdaptivePathResult {
-    /// Semi-scripted over per-step speedup.
-    pub fn speedup(&self) -> f64 {
-        self.batched_acts_per_sec / self.step_acts_per_sec.max(1e-9)
-    }
-}
-
-/// Throughput of the mmap-backed trace store.
-#[derive(Debug, Clone, Copy)]
-pub struct TraceStoreResult {
-    /// Raw mmap replay decode rate: requests per host second drained
-    /// through `TraceReplay::next_chunk` (no simulation attached).
-    pub replay_acts_per_sec: f64,
-    /// Aggregate simulated ACTs per host second of a paper-scale
-    /// (32 banks × 2 tREFW) sweep whose cells replay mmap'd traces from
-    /// the cache — the `--full` configuration's sweep hot path.
-    pub full_sweep_acts_per_sec: f64,
-    /// Cells in the paper-scale sweep measurement.
-    pub full_sweep_cells: usize,
-}
-
-/// Throughput of the fleet supervisor: a small clean (fault-free)
-/// fleet fanned across the worker pool, end to end through shard
-/// materialization, both simulators, and the merged report.
-#[derive(Debug, Clone, Copy)]
-pub struct FleetPathResult {
-    /// Aggregate simulated ACTs per host second (perf + security acts
-    /// across all shards over the fleet's wall time).
-    pub acts_per_sec: f64,
-    /// Shards in the measured fleet.
-    pub shards: u32,
-    /// Tenant streams multiplexed across those shards.
-    pub tenants: u32,
-}
-
-/// Throughput of the cross-mitigation arena: a small engine slice of
-/// the registry zoo run through the full cell grid (perf + four
-/// attacks per variant) on the arena's chunked worker queue.
-#[derive(Debug, Clone, Copy)]
-pub struct ArenaPathResult {
-    /// Aggregate simulated ACTs per host second across the probe's
-    /// cells over the arena's wall time.
-    pub acts_per_sec: f64,
-    /// Cells in the measured arena probe.
-    pub cells: usize,
-}
-
-/// Per-phase simulated-time attribution for one named security cell,
-/// produced by running the cell through the traced event-horizon path
-/// with a [`Tracer`]. Attribution is keyed to simulated nanoseconds,
-/// not host wall-clock, so the profile is bit-stable across machines
-/// and runs.
+/// One `BENCH_perf.json` field.
 #[derive(Debug, Clone)]
-pub struct CellPhaseProfile {
-    /// Cell label used in JSON keys (`profile_{cell}_{phase}_ns`).
-    pub cell: &'static str,
-    /// Simulated nanoseconds and units attributed per [`SimPhase`].
-    pub profile: PhaseProfile,
-}
-
-impl CellPhaseProfile {
-    /// One summary line: each phase's share of simulated time, in the
-    /// fixed [`SimPhase::ALL`] order, zero-time zero-unit phases elided.
-    fn summary_line(&self) -> String {
-        let mut parts = Vec::new();
-        for phase in SimPhase::ALL {
-            let pm = self.profile.permille(phase);
-            if pm == 0 && self.profile.units(phase) == 0 {
-                continue;
-            }
-            parts.push(format!("{} {}.{}%", phase.name(), pm / 10, pm % 10));
-        }
-        format!("  phase profile {:<8}: {}\n", self.cell, parts.join(", "))
-    }
+struct Metric {
+    key: String,
+    /// Counts ride as `f64` too: exact below 2^53, they print as the
+    /// same integers.
+    value: f64,
+    /// Digits after the decimal point in the JSON.
+    decimals: usize,
+    gate: Gate,
 }
 
 /// The full benchmark report serialized into `BENCH_perf.json`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PerfBenchReport {
-    /// 32-bank uniform benign stream.
-    pub uniform: HotPathResult,
-    /// Single-bank single-row hammer (ALERT-heavy).
-    pub hammer: HotPathResult,
-    /// Security simulator on the single-row hammer attack, per-step vs
-    /// event-horizon batched.
-    pub security: SecurityPathResult,
-    /// Security simulator on the adaptive attack suite, per-step vs
-    /// semi-scripted.
-    pub adaptive: AdaptivePathResult,
-    /// The mmap-backed trace store: raw replay decode rate and the
-    /// paper-scale trace-backed sweep.
-    pub trace: TraceStoreResult,
-    /// The fleet supervisor on a small clean sharded topology.
-    pub fleet: FleetPathResult,
-    /// The cross-mitigation arena on a small zoo slice.
-    pub arena: ArenaPathResult,
-    /// Wall seconds for the (profile × ATH) sweep run serially.
-    pub sweep_serial_seconds: f64,
-    /// Wall seconds for the same sweep through the parallel runner.
-    pub sweep_parallel_seconds: f64,
-    /// Aggregate simulated ACTs per host second of the parallel sweep.
-    pub sweep_acts_per_sec: f64,
-    /// Worker threads the parallel sweep used.
-    pub threads: usize,
-    /// Sweep cells measured.
-    pub cells: usize,
-    /// Deterministic per-phase simulated-time profiles of the Feinting
-    /// and Ratchet security cells (see `measure_profiles`).
-    pub profiles: Vec<CellPhaseProfile>,
+    /// Every field in JSON order: the per-phase profile rows lead (they
+    /// are deterministic), the machine-sensitive throughput rows follow
+    /// in measurement order.
+    metrics: Vec<Metric>,
+    /// Summary lines in measurement order.
+    lines: Vec<String>,
 }
 
 impl PerfBenchReport {
-    /// Parallel-sweep speedup over the serial run.
-    pub fn sweep_speedup(&self) -> f64 {
-        self.sweep_serial_seconds / self.sweep_parallel_seconds.max(1e-9)
-    }
-
-    /// Serializes the report as a JSON object. The per-phase profile
-    /// fields lead (they are deterministic; everything after them is
-    /// machine-sensitive throughput), then the flat metric fields.
+    /// Serializes the report as a JSON object, one field per line.
     pub fn to_json(&self) -> String {
-        let mut profile_fields = String::new();
-        for p in &self.profiles {
-            for phase in SimPhase::ALL {
-                let key = format!("profile_{}_{}_ns", p.cell, phase.name().replace('-', "_"));
-                profile_fields.push_str(&format!("  \"{key}\": {},\n", p.profile.ns(phase)));
-            }
-        }
-        format!(
-            "{{\n{profile_fields}  \
-             \"uniform_mono_acts_per_sec\": {:.0},\n  \
-             \"uniform_boxed_acts_per_sec\": {:.0},\n  \
-             \"hammer_mono_acts_per_sec\": {:.0},\n  \
-             \"hammer_boxed_acts_per_sec\": {:.0},\n  \
-             \"security_step_acts_per_sec\": {:.0},\n  \
-             \"security_batched_acts_per_sec\": {:.0},\n  \
-             \"security_batched_speedup\": {:.3},\n  \
-             \"adaptive_step_acts_per_sec\": {:.0},\n  \
-             \"adaptive_batched_acts_per_sec\": {:.0},\n  \
-             \"adaptive_batched_speedup\": {:.3},\n  \
-             \"trace_replay_acts_per_sec\": {:.0},\n  \
-             \"full_sweep_cells\": {},\n  \
-             \"full_sweep_acts_per_sec\": {:.0},\n  \
-             \"fleet_shards\": {},\n  \
-             \"fleet_acts_per_sec\": {:.0},\n  \
-             \"arena_cells\": {},\n  \
-             \"arena_acts_per_sec\": {:.0},\n  \
-             \"sweep_cells\": {},\n  \
-             \"sweep_serial_seconds\": {:.3},\n  \
-             \"sweep_parallel_seconds\": {:.3},\n  \
-             \"sweep_speedup\": {:.3},\n  \
-             \"sweep_acts_per_sec\": {:.0},\n  \
-             \"threads\": {}\n}}\n",
-            self.uniform.mono_acts_per_sec,
-            self.uniform.boxed_acts_per_sec,
-            self.hammer.mono_acts_per_sec,
-            self.hammer.boxed_acts_per_sec,
-            self.security.step_acts_per_sec,
-            self.security.batched_acts_per_sec,
-            self.security.speedup(),
-            self.adaptive.step_acts_per_sec,
-            self.adaptive.batched_acts_per_sec,
-            self.adaptive.speedup(),
-            self.trace.replay_acts_per_sec,
-            self.trace.full_sweep_cells,
-            self.trace.full_sweep_acts_per_sec,
-            self.fleet.shards,
-            self.fleet.acts_per_sec,
-            self.arena.cells,
-            self.arena.acts_per_sec,
-            self.cells,
-            self.sweep_serial_seconds,
-            self.sweep_parallel_seconds,
-            self.sweep_speedup(),
-            self.sweep_acts_per_sec,
-            self.threads,
-        )
+        let fields: Vec<String> = self
+            .metrics
+            .iter()
+            .map(|m| format!("  \"{}\": {:.*}", m.key, m.decimals, m.value))
+            .collect();
+        format!("{{\n{}\n}}\n", fields.join(",\n"))
     }
 
     /// Compares this run against a previously committed `BENCH_perf.json`
@@ -270,64 +95,38 @@ impl PerfBenchReport {
     /// dropped by more than `max_regression` (e.g. `0.20` for the CI
     /// gate's 20%), `Ok` with a per-metric summary otherwise.
     ///
-    /// Seven metrics are gated: `uniform_mono_acts_per_sec` (the
-    /// steady-state hot path every experiment rides on — required in the
-    /// baseline), plus `sweep_acts_per_sec`,
-    /// `security_batched_acts_per_sec`, `adaptive_batched_acts_per_sec`,
-    /// `full_sweep_acts_per_sec`, `fleet_acts_per_sec`, and
-    /// `arena_acts_per_sec` (the sweep harness, the batched and
-    /// semi-scripted security paths, the trace-backed paper-scale sweep,
-    /// the fleet supervisor, and the cross-mitigation arena; skipped
-    /// with a note when an older baseline lacks them).
-    /// The remaining fields are informational and machine-sensitive.
-    ///
-    /// `sweep_acts_per_sec`, `full_sweep_acts_per_sec`,
-    /// `fleet_acts_per_sec`, and `arena_acts_per_sec` scale with the
-    /// worker-thread count, so they are only comparable when this run
-    /// used as many threads as the baseline run (`threads` in the JSON).
-    /// On a mismatch — a single-core CI runner against a multi-core
-    /// baseline, or vice versa — those gates are skipped with an
-    /// explicit note instead of reporting a spurious regression or a
-    /// spurious pass.
+    /// The gated metrics are the ones recorded with a gate below: the
+    /// uniform hot path every experiment rides on (the baseline must
+    /// carry it), the sweep harness, the batched and semi-scripted
+    /// security paths, the trace-backed paper-scale sweep, the fleet
+    /// supervisor and the arena. The last four scale with the worker
+    /// threads, so they are compared only when `threads` matches the
+    /// baseline's. The other fields are informational.
     pub fn check_regression(
         &self,
         baseline_json: &str,
         max_regression: f64,
     ) -> Result<String, String> {
-        // (key, current value, required in baseline, thread-scaled)
-        let gated: [(&str, f64, bool, bool); 7] = [
-            (
-                "uniform_mono_acts_per_sec",
-                self.uniform.mono_acts_per_sec,
-                true,
-                false,
-            ),
-            ("sweep_acts_per_sec", self.sweep_acts_per_sec, false, true),
-            (
-                "security_batched_acts_per_sec",
-                self.security.batched_acts_per_sec,
-                false,
-                false,
-            ),
-            (
-                "adaptive_batched_acts_per_sec",
-                self.adaptive.batched_acts_per_sec,
-                false,
-                false,
-            ),
-            (
-                "full_sweep_acts_per_sec",
-                self.trace.full_sweep_acts_per_sec,
-                false,
-                true,
-            ),
-            ("fleet_acts_per_sec", self.fleet.acts_per_sec, false, true),
-            ("arena_acts_per_sec", self.arena.acts_per_sec, false, true),
-        ];
-        let baseline_threads = json_number(baseline_json, "threads");
+        let threads = self
+            .metrics
+            .iter()
+            .find(|m| m.key == THREADS)
+            .map_or(0.0, |m| m.value);
+        let baseline_threads = json_number(baseline_json, THREADS);
+        let mut gated: Vec<(u8, &Metric)> = self
+            .metrics
+            .iter()
+            .filter_map(|m| match m.gate {
+                Gate::Info => None,
+                Gate::Required(n) | Gate::IfPresent(n) | Gate::ThreadScaled(n) => Some((n, m)),
+            })
+            .collect();
+        gated.sort_unstable_by_key(|&(line, _)| line);
         let mut lines = Vec::new();
         let mut failures = Vec::new();
-        for (key, current, required, thread_scaled) in gated {
+        for (_, metric) in gated {
+            let (key, current, gate) = (&metric.key, metric.value, metric.gate);
+            let required = matches!(gate, Gate::Required(_));
             if !required && current == 0.0 {
                 // Zero means "not measured this run" (e.g. the trace
                 // cache directory could not be created): skip rather
@@ -335,25 +134,17 @@ impl PerfBenchReport {
                 lines.push(format!("perf smoke: {key} not measured this run — skipped"));
                 continue;
             }
-            if thread_scaled {
-                match baseline_threads {
-                    Some(t) if t == self.threads as f64 => {}
+            if matches!(gate, Gate::ThreadScaled(_)) && baseline_threads != Some(threads) {
+                let why = match baseline_threads {
                     Some(t) => {
-                        lines.push(format!(
-                            "perf smoke: {key} skipped — parallel-scaling metric, but this \
-                             run used {} thread(s) vs the baseline's {t:.0}",
-                            self.threads
-                        ));
-                        continue;
+                        format!("this run used {threads:.0} thread(s) vs the baseline's {t:.0}")
                     }
-                    None => {
-                        lines.push(format!(
-                            "perf smoke: {key} skipped — parallel-scaling metric, but the \
-                             baseline does not record its thread count"
-                        ));
-                        continue;
-                    }
-                }
+                    None => "the baseline does not record its thread count".to_string(),
+                };
+                lines.push(format!(
+                    "perf smoke: {key} skipped — parallel-scaling metric, but {why}"
+                ));
+                continue;
             }
             let Some(baseline) = json_number(baseline_json, key) else {
                 if required {
@@ -383,48 +174,149 @@ impl PerfBenchReport {
 
     /// Human-readable summary printed by `repro --json`.
     pub fn summary(&self) -> String {
-        let mut out = format!(
-            "Simulator performance\n  \
-             uniform 32-bank stream : {:>6.1} M ACTs/s mono, {:>6.1} M boxed\n  \
-             single-row hammer      : {:>6.1} M ACTs/s mono, {:>6.1} M boxed\n  \
-             security hammer sim    : {:>6.1} M ACTs/s batched, {:>6.1} M per-step ({:.2}x)\n  \
-             adaptive attack suite  : {:>6.1} M ACTs/s semi-scripted, {:>6.1} M per-step ({:.2}x)\n  \
-             trace store            : {:>6.1} M req/s raw mmap replay, {:.1} M ACTs/s paper-scale sweep ({} cells)\n  \
-             fleet supervisor       : {:>6.1} M ACTs/s across {} shards x {} tenants\n  \
-             arena probe            : {:>6.1} M ACTs/s across {} cells\n  \
-             sweep ({} cells)       : serial {:.2}s, parallel {:.2}s ({:.2}x on {} threads), {:.1} M ACTs/s\n",
-            self.uniform.mono_acts_per_sec / 1e6,
-            self.uniform.boxed_acts_per_sec / 1e6,
-            self.hammer.mono_acts_per_sec / 1e6,
-            self.hammer.boxed_acts_per_sec / 1e6,
-            self.security.batched_acts_per_sec / 1e6,
-            self.security.step_acts_per_sec / 1e6,
-            self.security.speedup(),
-            self.adaptive.batched_acts_per_sec / 1e6,
-            self.adaptive.step_acts_per_sec / 1e6,
-            self.adaptive.speedup(),
-            self.trace.replay_acts_per_sec / 1e6,
-            self.trace.full_sweep_acts_per_sec / 1e6,
-            self.trace.full_sweep_cells,
-            self.fleet.acts_per_sec / 1e6,
-            self.fleet.shards,
-            self.fleet.tenants,
-            self.arena.acts_per_sec / 1e6,
-            self.arena.cells,
-            self.cells,
-            self.sweep_serial_seconds,
-            self.sweep_parallel_seconds,
-            self.sweep_speedup(),
-            self.threads,
-            self.sweep_acts_per_sec / 1e6,
-        );
-        if !self.profiles.is_empty() {
-            out.push_str("Where simulated time goes (deterministic per-phase attribution)\n");
-            for p in &self.profiles {
-                out.push_str(&p.summary_line());
-            }
+        format!("Simulator performance\n{}", self.lines.concat())
+    }
+
+    fn push(&mut self, key: impl Into<String>, value: f64, decimals: usize, gate: Gate) {
+        self.metrics.push(Metric {
+            key: key.into(),
+            value,
+            decimals,
+            gate,
+        });
+    }
+
+    /// Simulated ACTs per host second of `PerfSim<MoatEngine>` (mono) and
+    /// `PerfSim<Box<dyn MitigationEngine>>` (boxed), on the 32-bank
+    /// uniform benign stream and on the single-row hammer (ALERT-heavy).
+    fn record_dispatch(&mut self, uniform: (f64, f64), hammer: (f64, f64)) {
+        self.push("uniform_mono_acts_per_sec", uniform.0, 0, Gate::Required(0));
+        self.push("uniform_boxed_acts_per_sec", uniform.1, 0, Gate::Info);
+        self.push("hammer_mono_acts_per_sec", hammer.0, 0, Gate::Info);
+        self.push("hammer_boxed_acts_per_sec", hammer.1, 0, Gate::Info);
+        for (label, (mono, boxed)) in [
+            ("uniform 32-bank stream", uniform),
+            ("single-row hammer", hammer),
+        ] {
+            let (mono, boxed) = (mono / 1e6, boxed / 1e6);
+            self.lines.push(format!(
+                "  {label:<22} : {mono:>6.1} M ACTs/s mono, {boxed:>6.1} M boxed\n"
+            ));
         }
-        out
+    }
+
+    /// Simulated ACTs per host second of the security simulator on the
+    /// single-row hammer, per-step and through the event-horizon
+    /// (semi-scripted) loop.
+    fn record_security(&mut self, step: f64, semi: f64) {
+        let speedup = semi / step.max(1e-9);
+        self.push("security_step_acts_per_sec", step, 0, Gate::Info);
+        self.push("security_batched_acts_per_sec", semi, 0, Gate::IfPresent(2));
+        self.push("security_batched_speedup", speedup, 3, Gate::Info);
+        let (step, semi) = (step / 1e6, semi / 1e6);
+        self.lines.push(format!(
+            "  security hammer sim    : {semi:>6.1} M ACTs/s batched, {step:>6.1} M per-step \
+             ({speedup:.2}x)\n"
+        ));
+    }
+
+    /// As [`record_security`](Self::record_security), on the adaptive
+    /// attack suite.
+    fn record_adaptive(&mut self, step: f64, semi: f64) {
+        let speedup = semi / step.max(1e-9);
+        self.push("adaptive_step_acts_per_sec", step, 0, Gate::Info);
+        self.push("adaptive_batched_acts_per_sec", semi, 0, Gate::IfPresent(3));
+        self.push("adaptive_batched_speedup", speedup, 3, Gate::Info);
+        let (step, semi) = (step / 1e6, semi / 1e6);
+        self.lines.push(format!(
+            "  adaptive attack suite  : {semi:>6.1} M ACTs/s semi-scripted, {step:>6.1} M \
+             per-step ({speedup:.2}x)\n"
+        ));
+    }
+
+    /// The trace store: raw mmap replay's requests per host second, and
+    /// the aggregate simulated ACTs per host second of the paper-scale
+    /// sweep over `cells` trace-backed cells.
+    fn record_trace_store(&mut self, replay: f64, sweep: f64, cells: usize) {
+        self.push("trace_replay_acts_per_sec", replay, 0, Gate::Info);
+        self.push("full_sweep_cells", cells as f64, 0, Gate::Info);
+        self.push("full_sweep_acts_per_sec", sweep, 0, Gate::ThreadScaled(4));
+        let (replay, sweep) = (replay / 1e6, sweep / 1e6);
+        self.lines.push(format!(
+            "  trace store            : {replay:>6.1} M req/s raw mmap replay, {sweep:.1} M \
+             ACTs/s paper-scale sweep ({cells} cells)\n"
+        ));
+    }
+
+    /// The fleet supervisor: perf + security ACTs across all shards per
+    /// host second of the fleet's wall time.
+    fn record_fleet(&mut self, acts_per_sec: f64, shards: u32, tenants: u32) {
+        self.push("fleet_shards", f64::from(shards), 0, Gate::Info);
+        self.push("fleet_acts_per_sec", acts_per_sec, 0, Gate::ThreadScaled(5));
+        self.lines.push(format!(
+            "  fleet supervisor       : {:>6.1} M ACTs/s across {shards} shards x {tenants} \
+             tenants\n",
+            acts_per_sec / 1e6
+        ));
+    }
+
+    /// The arena probe: aggregate simulated ACTs per host second across
+    /// its `cells` over the arena's wall time.
+    fn record_arena(&mut self, acts_per_sec: f64, cells: usize) {
+        self.push("arena_cells", cells as f64, 0, Gate::Info);
+        self.push("arena_acts_per_sec", acts_per_sec, 0, Gate::ThreadScaled(6));
+        self.lines.push(format!(
+            "  arena probe            : {:>6.1} M ACTs/s across {cells} cells\n",
+            acts_per_sec / 1e6
+        ));
+    }
+
+    /// The sweep harness: wall seconds of `cells` run serially and through
+    /// the parallel runner on `threads` workers, and the parallel run's
+    /// aggregate simulated ACTs per host second.
+    fn record_sweep(&mut self, cells: usize, secs: (f64, f64), acts: f64, threads: usize) {
+        let (serial, parallel) = secs;
+        let speedup = serial / parallel.max(1e-9);
+        self.push("sweep_cells", cells as f64, 0, Gate::Info);
+        self.push("sweep_serial_seconds", serial, 3, Gate::Info);
+        self.push("sweep_parallel_seconds", parallel, 3, Gate::Info);
+        self.push("sweep_speedup", speedup, 3, Gate::Info);
+        self.push("sweep_acts_per_sec", acts, 0, Gate::ThreadScaled(1));
+        self.push(THREADS, threads as f64, 0, Gate::Info);
+        self.lines.push(format!(
+            "  sweep ({cells} cells)       : serial {serial:.2}s, parallel {parallel:.2}s \
+             ({speedup:.2}x on {threads} threads), {:.1} M ACTs/s\n",
+            acts / 1e6
+        ));
+    }
+
+    /// Simulated nanoseconds per [`SimPhase`] of each named cell, as
+    /// `profile_{cell}_{phase}_ns` fields ahead of every other field,
+    /// and one summary line per cell giving each phase's share in the
+    /// fixed [`SimPhase::ALL`] order (zero-time zero-unit phases
+    /// elided). Recorded last, so its lines close the summary.
+    fn record_profiles(&mut self, profiles: &[(&str, PhaseProfile)]) {
+        let throughput_rows = self.metrics.len();
+        if !profiles.is_empty() {
+            self.lines
+                .push("Where simulated time goes (deterministic per-phase attribution)\n".into());
+        }
+        for (cell, profile) in profiles {
+            let mut shares = Vec::new();
+            for phase in SimPhase::ALL {
+                let key = format!("profile_{cell}_{}_ns", phase.name().replace('-', "_"));
+                self.push(key, profile.ns(phase) as f64, 0, Gate::Info);
+                let pm = profile.permille(phase);
+                if pm != 0 || profile.units(phase) != 0 {
+                    shares.push(format!("{} {}.{}%", phase.name(), pm / 10, pm % 10));
+                }
+            }
+            let shares = shares.join(", ");
+            self.lines
+                .push(format!("  phase profile {cell:<8}: {shares}\n"));
+        }
+        // The profile rows lead the JSON.
+        self.metrics.rotate_left(throughput_rows);
     }
 }
 
@@ -490,7 +382,8 @@ fn best_of_3<R: PartialEq + std::fmt::Debug>(
 
 /// Measures one stream on both dispatch paths and checks the reports are
 /// bit-identical (the monomorphization must not change numerics).
-fn measure<S>(stream: S, banks: u16, acts: u64) -> HotPathResult
+/// Returns simulated ACTs per host second, monomorphized then boxed.
+fn measure<S>(stream: S, banks: u16, acts: u64) -> (f64, f64)
 where
     S: Iterator<Item = Request> + Clone,
 {
@@ -508,18 +401,15 @@ where
             .run(stream.clone())
         },
     );
-    HotPathResult {
-        mono_acts_per_sec: acts as f64 / mono_secs.max(1e-9),
-        boxed_acts_per_sec: acts as f64 / boxed_secs.max(1e-9),
-        acts,
-    }
+    let acts = acts as f64;
+    (acts / mono_secs.max(1e-9), acts / boxed_secs.max(1e-9))
 }
 
 /// Measures the security simulator on the single-row hammer attack:
 /// the per-step reference (`run` over the `Scripted` adapter) against
 /// the event-horizon loop (`run_semi_scripted`), asserting along the way
 /// that both produce bit-identical reports.
-fn measure_security(duration: Nanos) -> SecurityPathResult {
+fn measure_security(bench: &mut PerfBenchReport, duration: Nanos) {
     let mk = || {
         SecuritySim::new(
             SecurityConfig::paper_default(),
@@ -531,26 +421,20 @@ fn measure_security(duration: Nanos) -> SecurityPathResult {
         || mk().run(&mut Scripted::new(hammer_attacker(30_000)), duration),
         || mk().run_semi_scripted(&mut hammer_attacker(30_000), duration),
     );
-    let acts = report.total_acts;
-    SecurityPathResult {
-        step_acts_per_sec: acts as f64 / step_secs.max(1e-9),
-        batched_acts_per_sec: acts as f64 / batched_secs.max(1e-9),
-        acts,
-    }
+    let acts = report.total_acts as f64;
+    bench.record_security(acts / step_secs.max(1e-9), acts / batched_secs.max(1e-9));
 }
 
 /// One cell of the adaptive benchmark suite: times the same attack
 /// through the per-step reference and the semi-scripted path with
-/// [`best_of_3`] (asserting bit-identical reports), and accumulates
-/// acts plus the best wall times into the aggregate.
+/// [`best_of_3`] (asserting bit-identical reports). Returns the acts and
+/// the two best wall times.
 fn adaptive_cell<E, A>(
     mk_sim: impl Fn() -> SecuritySim<E>,
     mk_attacker: impl Fn() -> A,
     duration: Nanos,
-    acts: &mut u64,
-    step_secs: &mut f64,
-    batched_secs: &mut f64,
-) where
+) -> (u64, f64, f64)
+where
     E: MitigationEngine,
     A: Attacker + SemiScriptedAttacker,
 {
@@ -559,9 +443,7 @@ fn adaptive_cell<E, A>(
         || mk_sim().run(&mut mk_attacker(), duration),
         || mk_sim().run_semi_scripted(&mut mk_attacker(), duration),
     );
-    *acts += report.total_acts;
-    *step_secs += step;
-    *batched_secs += semi;
+    (report.total_acts, step, semi)
 }
 
 /// Measures the Fig. 5/16 adaptive sweeps — Jailbreak against
@@ -580,48 +462,37 @@ fn adaptive_cell<E, A>(
 /// episode churn its ratcheting phase deliberately provokes — so they
 /// would only dilute this path-sensitive metric toward 1× without
 /// measuring the path.
-fn measure_adaptive() -> AdaptivePathResult {
-    let mut acts = 0u64;
-    let mut step_secs = 0.0f64;
-    let mut batched_secs = 0.0f64;
-
-    // Fig. 5: Jailbreak against deterministic Panopticon.
-    adaptive_cell(
-        || {
-            SecuritySim::new(
-                SecurityConfig::paper_default(),
-                PanopticonEngine::new(PanopticonConfig::paper_default()),
-            )
-        },
-        || JailbreakAttacker::new(20_000),
-        Nanos::from_millis(4),
-        &mut acts,
-        &mut step_secs,
-        &mut batched_secs,
-    );
-
-    // Fig. 16: refresh postponement against the drain-on-REF variant.
+fn measure_adaptive(bench: &mut PerfBenchReport) {
     let mut post_cfg = SecurityConfig::paper_default();
     post_cfg.dram = DramConfig::builder().max_postponed_refs(2).build();
-    adaptive_cell(
-        || {
-            SecuritySim::new(
-                post_cfg,
-                PanopticonEngine::new(PanopticonConfig::drain_variant()),
-            )
-        },
-        || PostponementAttacker::new(20_000, 128),
-        Nanos::from_millis(1),
-        &mut acts,
-        &mut step_secs,
-        &mut batched_secs,
-    );
-
-    AdaptivePathResult {
-        step_acts_per_sec: acts as f64 / step_secs.max(1e-9),
-        batched_acts_per_sec: acts as f64 / batched_secs.max(1e-9),
-        acts,
-    }
+    let cells = [
+        // Fig. 5: Jailbreak against deterministic Panopticon.
+        adaptive_cell(
+            || {
+                SecuritySim::new(
+                    SecurityConfig::paper_default(),
+                    PanopticonEngine::new(PanopticonConfig::paper_default()),
+                )
+            },
+            || JailbreakAttacker::new(20_000),
+            Nanos::from_millis(4),
+        ),
+        // Fig. 16: refresh postponement against the drain-on-REF variant.
+        adaptive_cell(
+            || {
+                SecuritySim::new(
+                    post_cfg,
+                    PanopticonEngine::new(PanopticonConfig::drain_variant()),
+                )
+            },
+            || PostponementAttacker::new(20_000, 128),
+            Nanos::from_millis(1),
+        ),
+    ];
+    let acts = cells.iter().map(|c| c.0).sum::<u64>() as f64;
+    let step_secs: f64 = cells.iter().map(|c| c.1).sum();
+    let batched_secs: f64 = cells.iter().map(|c| c.2).sum();
+    bench.record_adaptive(acts / step_secs.max(1e-9), acts / batched_secs.max(1e-9));
 }
 
 /// Measures the trace store: raw mmap replay decode rate over a
@@ -633,13 +504,9 @@ fn measure_adaptive() -> AdaptivePathResult {
 /// unavailable (read-only checkout, sandbox) both metrics report `0` —
 /// "not measured" — which the perf-smoke gate skips instead of flagging
 /// the live-generation fallback as a regression.
-fn measure_trace_store() -> TraceStoreResult {
+fn measure_trace_store(bench: &mut PerfBenchReport) {
     let Ok(cache) = TraceCache::open_default() else {
-        return TraceStoreResult {
-            replay_acts_per_sec: 0.0,
-            full_sweep_acts_per_sec: 0.0,
-            full_sweep_cells: 0,
-        };
+        return bench.record_trace_store(0.0, 0.0, 0);
     };
 
     // Raw decode rate: a 2M-request synthetic trace, drained chunk-wise.
@@ -687,11 +554,7 @@ fn measure_trace_store() -> TraceStoreResult {
         .collect();
     let (_, stats) = run_sweep(&mut lab, &cells);
 
-    TraceStoreResult {
-        replay_acts_per_sec,
-        full_sweep_acts_per_sec: stats.acts_per_sec(),
-        full_sweep_cells: cells.len(),
-    }
+    bench.record_trace_store(replay_acts_per_sec, stats.acts_per_sec(), cells.len());
 }
 
 /// Measures the fleet supervisor end to end on a small clean fleet:
@@ -699,7 +562,7 @@ fn measure_trace_store() -> TraceStoreResult {
 /// report, fanned across the worker pool. Fault-free so the number
 /// tracks the supervised hot path, not retry churn; best-of-2 because a
 /// whole fleet pass dominates the benchmark's time budget.
-fn measure_fleet() -> FleetPathResult {
+fn measure_fleet(bench: &mut PerfBenchReport) {
     let shards = 16u32;
     let tenants = 128u32;
     let config = FleetConfig::new(FleetTopology::with_shards(shards), tenants, 96, 0xF1EE7);
@@ -715,11 +578,7 @@ fn measure_fleet() -> FleetPathResult {
         );
         best = best.max(stats.acts_per_sec());
     }
-    FleetPathResult {
-        acts_per_sec: best,
-        shards,
-        tenants,
-    }
+    bench.record_fleet(best, shards, tenants);
 }
 
 /// Measures the cross-mitigation arena on a two-engine zoo slice (MOAT
@@ -729,7 +588,7 @@ fn measure_fleet() -> FleetPathResult {
 /// rendered table. Small enough to stay in the benchmark's time budget,
 /// real enough that a regression in any shared arena layer (grid
 /// assembly, cell supervision, the boxed engine seam) moves it.
-fn measure_arena() -> ArenaPathResult {
+fn measure_arena(bench: &mut PerfBenchReport) {
     let selection: Vec<&'static EngineSpec> = ["moat", "comet"]
         .iter()
         .map(|name| registry::spec(name).expect("registry engine"))
@@ -743,10 +602,7 @@ fn measure_arena() -> ArenaPathResult {
         cells = reg.counter("arena.cells.total") as usize;
         best = best.max(acts as f64 / start.elapsed().as_secs_f64().max(1e-9));
     }
-    ArenaPathResult {
-        acts_per_sec: best,
-        cells,
-    }
+    bench.record_arena(best, cells);
 }
 
 /// Attributes simulated time per phase inside two security cells —
@@ -760,7 +616,7 @@ fn measure_arena() -> ArenaPathResult {
 /// hosts and runs — and say nothing about host time: on the host,
 /// Feinting spends most of its time in engine calls and Ratchet does
 /// not (see README §Per-phase profiling).
-pub fn measure_profiles() -> Vec<CellPhaseProfile> {
+fn measure_profiles() -> [(&'static str, PhaseProfile); 2] {
     // Feinting (Fig. 6 shape): k = 3 tREFI per mitigation, 64 feint
     // periods, ALERT disabled — time should pool in tracker updates.
     let feinting = {
@@ -791,31 +647,12 @@ pub fn measure_profiles() -> Vec<CellPhaseProfile> {
         *tracer.profile()
     };
 
-    vec![
-        CellPhaseProfile {
-            cell: "feinting",
-            profile: feinting,
-        },
-        CellPhaseProfile {
-            cell: "ratchet",
-            profile: ratchet,
-        },
-    ]
+    [("feinting", feinting), ("ratchet", ratchet)]
 }
 
-/// Runs the full benchmark at the given scale.
-pub fn bench_perf(scale: Scale) -> PerfBenchReport {
-    let uniform_n: u32 = 400_000;
-    let hammer_n: u32 = 200_000;
-    let uniform = measure(uniform_stream(uniform_n, 32), 32, u64::from(uniform_n));
-    let hammer = measure(hammer_stream(hammer_n), 1, u64::from(hammer_n));
-    let security = measure_security(Nanos::from_millis(20));
-    let adaptive = measure_adaptive();
-    let trace = measure_trace_store();
-    let fleet = measure_fleet();
-    let arena = measure_arena();
-
-    // Sweep scaling: one ATH-64 cell per workload profile.
+/// Measures the sweep harness: one ATH-64 cell per workload profile,
+/// run serially and through the parallel runner.
+fn measure_sweep(bench: &mut PerfBenchReport, scale: Scale) {
     let cells: Vec<SweepCell> = PROFILES
         .iter()
         .map(|p| SweepCell::new(p, MoatConfig::with_ath(64)))
@@ -828,29 +665,33 @@ pub fn bench_perf(scale: Scale) -> PerfBenchReport {
     for cell in &cells {
         let _ = serial_lab.run_moat_shared(cell.profile, cell.moat, cell.budget);
     }
-    let sweep_serial_seconds = start.elapsed().as_secs_f64();
+    let serial_seconds = start.elapsed().as_secs_f64();
 
     let mut parallel_lab = PerfLab::new(scale);
     parallel_lab.precompute_baselines(&profiles);
     let start = Instant::now();
     let (_, stats) = run_sweep(&mut parallel_lab, &cells);
-    let sweep_parallel_seconds = start.elapsed().as_secs_f64();
+    let parallel_seconds = start.elapsed().as_secs_f64();
+    let secs = (serial_seconds, parallel_seconds);
+    bench.record_sweep(cells.len(), secs, stats.acts_per_sec(), stats.threads);
+}
 
-    PerfBenchReport {
-        uniform,
-        hammer,
-        security,
-        adaptive,
-        trace,
-        fleet,
-        arena,
-        sweep_serial_seconds,
-        sweep_parallel_seconds,
-        sweep_acts_per_sec: stats.acts_per_sec(),
-        threads: stats.threads,
-        cells: cells.len(),
-        profiles: measure_profiles(),
-    }
+/// Runs the full benchmark at the given scale.
+pub fn bench_perf(scale: Scale) -> PerfBenchReport {
+    let mut bench = PerfBenchReport::default();
+    let (uniform_n, hammer_n) = (400_000u32, 200_000u32);
+    bench.record_dispatch(
+        measure(uniform_stream(uniform_n, 32), 32, u64::from(uniform_n)),
+        measure(hammer_stream(hammer_n), 1, u64::from(hammer_n)),
+    );
+    measure_security(&mut bench, Nanos::from_millis(20));
+    measure_adaptive(&mut bench);
+    measure_trace_store(&mut bench);
+    measure_fleet(&mut bench);
+    measure_arena(&mut bench);
+    measure_sweep(&mut bench, scale);
+    bench.record_profiles(&measure_profiles());
+    bench
 }
 
 #[cfg(test)]
@@ -859,57 +700,31 @@ mod tests {
 
     #[test]
     fn mono_and_boxed_reports_are_identical() {
-        let r = measure(uniform_stream(20_000, 4), 4, 20_000);
-        assert!(r.mono_acts_per_sec > 0.0);
-        assert!(r.boxed_acts_per_sec > 0.0);
+        let (mono, boxed) = measure(uniform_stream(20_000, 4), 4, 20_000);
+        assert!(mono > 0.0);
+        assert!(boxed > 0.0);
     }
 
     fn sample_report() -> PerfBenchReport {
-        PerfBenchReport {
-            uniform: HotPathResult {
-                mono_acts_per_sec: 2.0e7,
-                boxed_acts_per_sec: 1.5e7,
-                acts: 100,
-            },
-            hammer: HotPathResult {
-                mono_acts_per_sec: 3.0e7,
-                boxed_acts_per_sec: 2.0e7,
-                acts: 100,
-            },
-            security: SecurityPathResult {
-                step_acts_per_sec: 1.1e7,
-                batched_acts_per_sec: 3.3e7,
-                acts: 100,
-            },
-            adaptive: AdaptivePathResult {
-                step_acts_per_sec: 5.0e6,
-                batched_acts_per_sec: 1.5e7,
-                acts: 100,
-            },
-            trace: TraceStoreResult {
-                replay_acts_per_sec: 2.5e8,
-                full_sweep_acts_per_sec: 4.0e7,
-                full_sweep_cells: 6,
-            },
-            fleet: FleetPathResult {
-                acts_per_sec: 2.4e7,
-                shards: 16,
-                tenants: 128,
-            },
-            arena: ArenaPathResult {
-                acts_per_sec: 1.8e7,
-                cells: 20,
-            },
-            sweep_serial_seconds: 2.0,
-            sweep_parallel_seconds: 0.5,
-            sweep_acts_per_sec: 1.6e7,
-            threads: 4,
-            cells: 21,
-            profiles: sample_profiles(),
-        }
+        sample_report_with_full_sweep(4.0e7)
     }
 
-    fn sample_profiles() -> Vec<CellPhaseProfile> {
+    /// The sample report whose paper-scale sweep read `full_sweep`
+    /// ACTs per host second.
+    fn sample_report_with_full_sweep(full_sweep: f64) -> PerfBenchReport {
+        let mut report = PerfBenchReport::default();
+        report.record_dispatch((2.0e7, 1.5e7), (3.0e7, 2.0e7));
+        report.record_security(1.1e7, 3.3e7);
+        report.record_adaptive(5.0e6, 1.5e7);
+        report.record_trace_store(2.5e8, full_sweep, 6);
+        report.record_fleet(2.4e7, 16, 128);
+        report.record_arena(1.8e7, 20);
+        report.record_sweep(21, (2.0, 0.5), 1.6e7, 4);
+        report.record_profiles(&sample_profiles());
+        report
+    }
+
+    fn sample_profiles() -> [(&'static str, PhaseProfile); 2] {
         let mut feinting = PhaseProfile::new();
         feinting.add(SimPhase::EngineUpdate, 100, 6_000);
         feinting.add(SimPhase::Refresh, 10, 3_000);
@@ -917,35 +732,24 @@ mod tests {
         let mut ratchet = PhaseProfile::new();
         ratchet.add(SimPhase::EngineUpdate, 50, 5_000);
         ratchet.add(SimPhase::EpisodeChurn, 40, 5_000);
-        vec![
-            CellPhaseProfile {
-                cell: "feinting",
-                profile: feinting,
-            },
-            CellPhaseProfile {
-                cell: "ratchet",
-                profile: ratchet,
-            },
-        ]
+        [("feinting", feinting), ("ratchet", ratchet)]
     }
 
     #[test]
     fn measured_profiles_are_deterministic_and_nonempty() {
         let a = measure_profiles();
         let b = measure_profiles();
-        assert_eq!(a.len(), 2);
-        assert_eq!(a[0].cell, "feinting");
-        assert_eq!(a[1].cell, "ratchet");
-        for (x, y) in a.iter().zip(&b) {
-            assert!(x.profile.total_ns() > 0, "{} profile is empty", x.cell);
+        assert_eq!(a[0].0, "feinting");
+        assert_eq!(a[1].0, "ratchet");
+        for ((cell, x), (_, y)) in a.iter().zip(&b) {
+            assert!(x.total_ns() > 0, "{cell} profile is empty");
             assert!(
-                x.profile.units(SimPhase::EngineUpdate) > 0,
-                "{} attributed no ACTs to the engine",
-                x.cell
+                x.units(SimPhase::EngineUpdate) > 0,
+                "{cell} attributed no ACTs to the engine"
             );
             for phase in SimPhase::ALL {
-                assert_eq!(x.profile.ns(phase), y.profile.ns(phase), "{}", x.cell);
-                assert_eq!(x.profile.units(phase), y.profile.units(phase), "{}", x.cell);
+                assert_eq!(x.ns(phase), y.ns(phase), "{cell}");
+                assert_eq!(x.units(phase), y.units(phase), "{cell}");
             }
         }
     }
@@ -1047,9 +851,9 @@ mod tests {
         assert!(err.contains("arena_acts_per_sec"), "{err}");
         // A zero current value means "not measured this run" (trace
         // cache unavailable): skipped, not a spurious regression.
-        let mut unmeasured = report.clone();
-        unmeasured.trace.full_sweep_acts_per_sec = 0.0;
-        let ok = unmeasured.check_regression(&json, 0.20).unwrap();
+        let ok = sample_report_with_full_sweep(0.0)
+            .check_regression(&json, 0.20)
+            .unwrap();
         assert!(ok.contains("not measured"), "{ok}");
         // Pre-batching baselines lack the new keys: skipped with a note,
         // the uniform gate still applies.
@@ -1121,5 +925,227 @@ mod tests {
             "\"sweep_acts_per_sec\": 32000000",
         );
         assert!(report.check_regression(&sweep_fast, 0.20).is_err());
+    }
+
+    /// `to_json()` of [`sample_report`], byte for byte.
+    const SAMPLE_JSON: &str = r#"{
+  "profile_feinting_engine_update_ns": 6000,
+  "profile_feinting_episode_churn_ns": 0,
+  "profile_feinting_stream_decode_ns": 0,
+  "profile_feinting_prefetch_ns": 0,
+  "profile_feinting_refresh_ns": 3000,
+  "profile_feinting_idle_ns": 1000,
+  "profile_ratchet_engine_update_ns": 5000,
+  "profile_ratchet_episode_churn_ns": 5000,
+  "profile_ratchet_stream_decode_ns": 0,
+  "profile_ratchet_prefetch_ns": 0,
+  "profile_ratchet_refresh_ns": 0,
+  "profile_ratchet_idle_ns": 0,
+  "uniform_mono_acts_per_sec": 20000000,
+  "uniform_boxed_acts_per_sec": 15000000,
+  "hammer_mono_acts_per_sec": 30000000,
+  "hammer_boxed_acts_per_sec": 20000000,
+  "security_step_acts_per_sec": 11000000,
+  "security_batched_acts_per_sec": 33000000,
+  "security_batched_speedup": 3.000,
+  "adaptive_step_acts_per_sec": 5000000,
+  "adaptive_batched_acts_per_sec": 15000000,
+  "adaptive_batched_speedup": 3.000,
+  "trace_replay_acts_per_sec": 250000000,
+  "full_sweep_cells": 6,
+  "full_sweep_acts_per_sec": 40000000,
+  "fleet_shards": 16,
+  "fleet_acts_per_sec": 24000000,
+  "arena_cells": 20,
+  "arena_acts_per_sec": 18000000,
+  "sweep_cells": 21,
+  "sweep_serial_seconds": 2.000,
+  "sweep_parallel_seconds": 0.500,
+  "sweep_speedup": 4.000,
+  "sweep_acts_per_sec": 16000000,
+  "threads": 4
+}
+"#;
+
+    /// `summary()` of [`sample_report`], byte for byte.
+    const SAMPLE_SUMMARY: &str = "\
+Simulator performance
+  uniform 32-bank stream :   20.0 M ACTs/s mono,   15.0 M boxed
+  single-row hammer      :   30.0 M ACTs/s mono,   20.0 M boxed
+  security hammer sim    :   33.0 M ACTs/s batched,   11.0 M per-step (3.00x)
+  adaptive attack suite  :   15.0 M ACTs/s semi-scripted,    5.0 M per-step (3.00x)
+  trace store            :  250.0 M req/s raw mmap replay, 40.0 M ACTs/s paper-scale sweep (6 cells)
+  fleet supervisor       :   24.0 M ACTs/s across 16 shards x 128 tenants
+  arena probe            :   18.0 M ACTs/s across 20 cells
+  sweep (21 cells)       : serial 2.00s, parallel 0.50s (4.00x on 4 threads), 16.0 M ACTs/s
+Where simulated time goes (deterministic per-phase attribution)
+  phase profile feinting: engine-update 60.0%, refresh 30.0%, idle 10.0%
+  phase profile ratchet : engine-update 50.0%, episode-churn 50.0%
+";
+
+    /// Every `check_regression` verdict of the baselines built in
+    /// [`gate_verdicts_are_pinned`], byte for byte.
+    const GATE_VERDICTS: &str = r#"== identical
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 20000000 (1.00x)
+perf smoke: sweep_acts_per_sec 16000000 vs baseline 16000000 (1.00x)
+perf smoke: security_batched_acts_per_sec 33000000 vs baseline 33000000 (1.00x)
+perf smoke: adaptive_batched_acts_per_sec 15000000 vs baseline 15000000 (1.00x)
+perf smoke: full_sweep_acts_per_sec 40000000 vs baseline 40000000 (1.00x)
+perf smoke: fleet_acts_per_sec 24000000 vs baseline 24000000 (1.00x)
+perf smoke: arena_acts_per_sec 18000000 vs baseline 18000000 (1.00x)
+== 2x uniform
+Err:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 40000000 (0.50x) — regressed more than 20%
+== 2x uniform, 60% tolerance
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 40000000 (0.50x)
+perf smoke: sweep_acts_per_sec 16000000 vs baseline 16000000 (1.00x)
+perf smoke: security_batched_acts_per_sec 33000000 vs baseline 33000000 (1.00x)
+perf smoke: adaptive_batched_acts_per_sec 15000000 vs baseline 15000000 (1.00x)
+perf smoke: full_sweep_acts_per_sec 40000000 vs baseline 40000000 (1.00x)
+perf smoke: fleet_acts_per_sec 24000000 vs baseline 24000000 (1.00x)
+perf smoke: arena_acts_per_sec 18000000 vs baseline 18000000 (1.00x)
+== 2x sweep
+Err:
+perf smoke: sweep_acts_per_sec 16000000 vs baseline 32000000 (0.50x) — regressed more than 20%
+== 8 threads
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 20000000 (1.00x)
+perf smoke: sweep_acts_per_sec skipped — parallel-scaling metric, but this run used 4 thread(s) vs the baseline's 8
+perf smoke: security_batched_acts_per_sec 33000000 vs baseline 33000000 (1.00x)
+perf smoke: adaptive_batched_acts_per_sec 15000000 vs baseline 15000000 (1.00x)
+perf smoke: full_sweep_acts_per_sec skipped — parallel-scaling metric, but this run used 4 thread(s) vs the baseline's 8
+perf smoke: fleet_acts_per_sec skipped — parallel-scaling metric, but this run used 4 thread(s) vs the baseline's 8
+perf smoke: arena_acts_per_sec skipped — parallel-scaling metric, but this run used 4 thread(s) vs the baseline's 8
+== 8 threads, 2x uniform
+Err:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 40000000 (0.50x) — regressed more than 20%
+== no threads field
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 20000000 (1.00x)
+perf smoke: sweep_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: security_batched_acts_per_sec 33000000 vs baseline 33000000 (1.00x)
+perf smoke: adaptive_batched_acts_per_sec 15000000 vs baseline 15000000 (1.00x)
+perf smoke: full_sweep_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: fleet_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: arena_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+== pre-batching
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 20000000 (1.00x)
+perf smoke: sweep_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: security_batched_acts_per_sec absent from baseline — skipped
+perf smoke: adaptive_batched_acts_per_sec absent from baseline — skipped
+perf smoke: full_sweep_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: fleet_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+perf smoke: arena_acts_per_sec skipped — parallel-scaling metric, but the baseline does not record its thread count
+== uniform missing
+Err:
+baseline JSON has no numeric "uniform_mono_acts_per_sec" field
+== full sweep not measured
+Ok:
+perf smoke: uniform_mono_acts_per_sec 20000000 vs baseline 20000000 (1.00x)
+perf smoke: sweep_acts_per_sec 16000000 vs baseline 16000000 (1.00x)
+perf smoke: security_batched_acts_per_sec 33000000 vs baseline 33000000 (1.00x)
+perf smoke: adaptive_batched_acts_per_sec 15000000 vs baseline 15000000 (1.00x)
+perf smoke: full_sweep_acts_per_sec not measured this run — skipped
+perf smoke: fleet_acts_per_sec 24000000 vs baseline 24000000 (1.00x)
+perf smoke: arena_acts_per_sec 18000000 vs baseline 18000000 (1.00x)
+"#;
+
+    #[test]
+    fn json_and_summary_bytes_are_pinned() {
+        let report = sample_report();
+        assert_eq!(report.to_json(), SAMPLE_JSON);
+        assert_eq!(report.summary(), SAMPLE_SUMMARY);
+    }
+
+    /// Renders a gate verdict as `Ok:` or `Err:`, then its lines.
+    fn verdict(result: Result<String, String>) -> String {
+        match result {
+            Ok(lines) => format!("Ok:\n{lines}"),
+            Err(lines) => format!("Err:\n{lines}"),
+        }
+    }
+
+    #[test]
+    fn gate_verdicts_are_pinned() {
+        let report = sample_report();
+        let json = report.to_json();
+        let uniform_2x = json.replace("20000000", "40000000");
+        let eight_threads = json
+            .replace("\"threads\": 4", "\"threads\": 8")
+            .replace(
+                "\"sweep_acts_per_sec\": 16000000",
+                "\"sweep_acts_per_sec\": 160000000",
+            )
+            .replace(
+                "\"full_sweep_acts_per_sec\": 40000000",
+                "\"full_sweep_acts_per_sec\": 400000000",
+            )
+            .replace(
+                "\"fleet_acts_per_sec\": 24000000",
+                "\"fleet_acts_per_sec\": 240000000",
+            )
+            .replace(
+                "\"arena_acts_per_sec\": 18000000",
+                "\"arena_acts_per_sec\": 180000000",
+            );
+        let cases = [
+            ("identical", &report, json.clone(), 0.20),
+            ("2x uniform", &report, uniform_2x.clone(), 0.20),
+            ("2x uniform, 60% tolerance", &report, uniform_2x, 0.60),
+            (
+                "2x sweep",
+                &report,
+                json.replace(
+                    "\"sweep_acts_per_sec\": 16000000",
+                    "\"sweep_acts_per_sec\": 32000000",
+                ),
+                0.20,
+            ),
+            ("8 threads", &report, eight_threads.clone(), 0.20),
+            (
+                "8 threads, 2x uniform",
+                &report,
+                eight_threads.replace(
+                    "\"uniform_mono_acts_per_sec\": 20000000",
+                    "\"uniform_mono_acts_per_sec\": 40000000",
+                ),
+                0.20,
+            ),
+            (
+                "no threads field",
+                &report,
+                json.replace("\"threads\": 4", "\"thread_count\": 4"),
+                0.20,
+            ),
+            (
+                "pre-batching",
+                &report,
+                "{\n  \"uniform_mono_acts_per_sec\": 20000000\n}\n".to_string(),
+                0.20,
+            ),
+            (
+                "uniform missing",
+                &report,
+                "{\"sweep_acts_per_sec\": 1}".to_string(),
+                0.20,
+            ),
+            (
+                "full sweep not measured",
+                &sample_report_with_full_sweep(0.0),
+                json,
+                0.20,
+            ),
+        ];
+        let verdicts: String = cases
+            .into_iter()
+            .map(|(name, current, baseline, max_regression)| {
+                let verdict = verdict(current.check_regression(&baseline, max_regression));
+                format!("== {name}\n{verdict}\n")
+            })
+            .collect();
+        assert_eq!(verdicts, GATE_VERDICTS);
     }
 }

@@ -34,15 +34,6 @@ impl Scale {
         }
     }
 
-    /// Reads `MOAT_REPRO_FULL=1` from the environment.
-    pub fn from_env() -> Self {
-        if std::env::var("MOAT_REPRO_FULL").is_ok_and(|v| v == "1") {
-            Self::full()
-        } else {
-            Self::scaled()
-        }
-    }
-
     /// The matching workload-generator configuration.
     pub fn generator(&self, seed: u64) -> GeneratorConfig {
         GeneratorConfig {

@@ -3,8 +3,9 @@
 //! DDR5 permits at most four ACTs to a rank within any tFAW window. The
 //! paper invokes this limit only to cap the TSA attack at 17 concurrently
 //! staggered banks (§7.3); tFAW is not part of Table 1, so the default
-//! simulators do not enforce it (see DESIGN.md §7) and this tracker is
-//! provided for users who want rank-level fidelity.
+//! simulators do not enforce it (neither `PerfSim` nor `SecuritySim`
+//! calls this tracker) and it is provided for users who want rank-level
+//! fidelity.
 
 use std::collections::VecDeque;
 

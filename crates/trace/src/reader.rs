@@ -237,21 +237,8 @@ impl TraceFile {
     /// record-size mismatch, truncation, or checksum mismatch, and
     /// propagates open/map errors.
     pub fn open(path: &Path) -> io::Result<TraceFile> {
-        let info = TraceInfo::read(path)?;
-        let file = File::open(path)?;
-        let map = Mmap::map(&file)?;
-        if map.len() as u64 != info.file_bytes {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "trace changed size while opening",
-            ));
-        }
-        let trace = TraceFile {
-            map,
-            header: info.header,
-            path: path.to_path_buf(),
-        };
-        let stamp = VerifiedStamp::of(path, info.header.checksum).ok();
+        let trace = Self::map_checked(path)?;
+        let stamp = VerifiedStamp::of(path, trace.header.checksum).ok();
         if stamp.is_some_and(|s| s.matches_marker(path)) {
             // Verified once already, and neither size nor mtime moved:
             // trust the earlier full pass.
@@ -276,6 +263,16 @@ impl TraceFile {
     ///
     /// Same as [`open`](Self::open).
     pub fn open_strict(path: &Path) -> io::Result<TraceFile> {
+        let trace = Self::map_checked(path)?;
+        trace.verify()?;
+        mark_verified(path, trace.header.checksum);
+        Ok(trace)
+    }
+
+    /// The prefix both opens share: reads and checks the header, maps
+    /// the file, and checks the mapping's length against the header's.
+    /// The checksum is left to the caller.
+    fn map_checked(path: &Path) -> io::Result<TraceFile> {
         let info = TraceInfo::read(path)?;
         let file = File::open(path)?;
         let map = Mmap::map(&file)?;
@@ -285,14 +282,11 @@ impl TraceFile {
                 "trace changed size while opening",
             ));
         }
-        let trace = TraceFile {
+        Ok(TraceFile {
             map,
             header: info.header,
             path: path.to_path_buf(),
-        };
-        trace.verify()?;
-        mark_verified(path, info.header.checksum);
-        Ok(trace)
+        })
     }
 
     /// Re-walks the record region and checks it against the header

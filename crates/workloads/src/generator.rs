@@ -10,7 +10,7 @@
 //!
 //! What the paper took from real SPEC/GAP traces, we synthesize — the
 //! histogram plus the rate are precisely the statistics MOAT's behaviour
-//! depends on (see DESIGN.md, substitution table).
+//! depends on (see the crate docs).
 
 use moat_dram::{BankId, DramConfig, Nanos, RowId};
 use moat_sim::{Request, RequestStream, DEFAULT_CHUNK};

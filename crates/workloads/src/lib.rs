@@ -4,8 +4,8 @@
 //! not redistributable, so this crate synthesizes activation streams that
 //! reproduce the statistics MOAT's behaviour actually depends on — the
 //! per-bank-per-tREFW row-activation histogram and activation rate that
-//! the paper reports for every workload in Table 4 (see DESIGN.md's
-//! substitution table).
+//! the paper reports for every workload in Table 4. Those two statistics
+//! are what the synthetic streams reproduce in place of the real traces.
 //!
 //! ```
 //! use moat_workloads::{WorkloadProfile, PROFILES};

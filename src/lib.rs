@@ -29,8 +29,9 @@
 //! assert!(report.max_pressure <= 99); // the paper's tolerated threshold
 //! ```
 //!
-//! See `examples/` for runnable scenarios and `cargo bench --bench
-//! experiments` for the full table/figure reproduction harness.
+//! See `examples/` for runnable scenarios and `cargo run --release -p
+//! moat-bench --bin repro -- all` for the full table/figure reproduction
+//! harness.
 
 #![warn(missing_docs)]
 
