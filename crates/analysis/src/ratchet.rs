@@ -16,8 +16,10 @@
 //! T_RH^safe = ATH + log_{M/3}(N_c) + M        (Equation 4)
 //! ```
 //!
-//! This reproduces the paper's headline numbers: ATH 64 → 99, ATH 128 →
-//! 161 (level 1), and the Safe-TRH column of Table 7.
+//! This reproduces the paper's headline numbers exactly: ATH 64 → 99,
+//! ATH 128 → 161 (level 1). It matches the Safe-TRH column of Table 7 to
+//! within ±1: eight of the nine cells are exact, and at (ATH 128, L2) the
+//! model gives 149 where the paper reports 150.
 
 use moat_dram::{DramTiming, Nanos};
 
@@ -53,9 +55,11 @@ impl RatchetModel {
 
     /// `N_c`: the largest pool whose attack fits in the refresh window.
     ///
-    /// Budgeting over the full tREFW reproduces the paper's reported
-    /// values exactly (99/161 and the Table 7 column); the stricter
-    /// tREFW-minus-refresh-time window shifts a few cells by one.
+    /// Budgeting over the full tREFW reproduces the paper's headline
+    /// values exactly (99/161) and its Table 7 column to within ±1: every
+    /// cell but (ATH 128, L2) is exact, where the model gives 149 and the
+    /// paper 150. The stricter tREFW-minus-refresh-time window shifts a
+    /// few cells by one.
     pub fn critical_pool(&self, ath: u32, level: u8) -> u64 {
         let window = self.timing.t_refw.as_u64();
         let per_row = u64::from(ath) * self.timing.t_rc.as_u64()

@@ -29,11 +29,11 @@ fn main() {
         .collect();
 
     // Live generation per cell: the pre-trace behaviour at --full, where
-    // every cell re-runs the heap-merge generator.
+    // every cell re-runs the heap-merge generator (a zero budget turns
+    // off both materialization and the trace cache).
     let mut live = PerfLab::new(Scale::full());
-    live.set_stream_cache_budget(1);
-    live.set_trace_cache_enabled(false);
-    live.precompute_baselines(&profiles);
+    live.set_stream_cache_budget(0);
+    live.load(&profiles);
     let (_, live_stats) = run_sweep(&mut live, &cells);
     println!(
         "live regeneration : {:>5.1} M ACTs/s ({:.2}s for {} cells)",
@@ -46,7 +46,7 @@ fn main() {
     // mmap'd bytes afterwards.
     let mut mapped = PerfLab::new(Scale::full());
     mapped.set_stream_cache_budget(1);
-    mapped.precompute_baselines(&profiles);
+    mapped.load(&profiles);
     let (_, map_stats) = run_sweep(&mut mapped, &cells);
     println!(
         "mmap trace replay : {:>5.1} M ACTs/s ({:.2}s for {} cells)",

@@ -11,7 +11,7 @@ use moat_trackers::MisraGriesTracker;
 use moat_workloads::{WorkloadStream, PROFILES};
 
 use crate::perf_experiments::PerfLab;
-use crate::scale::Scale;
+use crate::sweep::{run_sweep, SweepCell};
 
 /// Refresh-order ablation: §4.3's safe reset is only safe because the
 /// sweep is spatially contiguous. A strided sweep leaves a group-leading
@@ -88,17 +88,19 @@ pub fn ablation_tracker_class() -> String {
     out
 }
 
-/// §6.5 energy accounting over the benign workloads.
-pub fn energy(scale: Scale) -> String {
+/// §6.5 energy accounting over the benign workloads' default cells.
+pub fn energy(lab: &mut PerfLab) -> String {
     let model = moat_analysis::EnergyModel::paper_default();
-    let mut lab = PerfLab::new(scale);
     let dram = DramConfig::paper_baseline();
+    let cells: Vec<SweepCell> = PROFILES
+        .iter()
+        .map(|p| SweepCell::new(p, MoatConfig::paper_default()))
+        .collect();
     let mut act_overheads = Vec::new();
-    for p in &PROFILES {
-        let (_, report) = lab.run_moat(p, MoatConfig::paper_default(), SlotBudget::paper_default());
-        let baseline_acts = WorkloadStream::acts_per_bank_per_window(p, &dram) as f64;
+    for o in run_sweep(lab, &cells).0 {
+        let baseline_acts = WorkloadStream::acts_per_bank_per_window(o.cell.profile, &dram) as f64;
         act_overheads.push(model.activation_overhead(
-            report.mitigations_per_bank_per_trefw,
+            o.report.mitigations_per_bank_per_trefw,
             5,
             baseline_acts,
         ));

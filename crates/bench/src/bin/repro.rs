@@ -64,19 +64,20 @@
 //!                               thread-count rule are defined in
 //!                               `crates/bench/src/perfbench.rs`)
 //!
-//! The performance sweeps fan their (profile × config) cells across all
-//! cores; `--full` selects the paper-size configuration (32 banks,
-//! 2 tREFW windows). At `--full` the materialized streams exceed the
-//! in-memory budget and ride the on-disk trace cache: the first run
-//! records every stream once, every later sweep cell (and every later
-//! run) replays the mmap'd bytes.
+//! The performance tables share one lab per run, which runs each
+//! distinct (profile × config) cell once, across all cores; `--full`
+//! selects the paper-size configuration (32 banks, 2 tREFW windows). At
+//! `--full` the materialized streams exceed the in-memory budget and
+//! ride the on-disk trace cache: the first run records every stream
+//! once, every later sweep cell (and every later run) replays the
+//! mmap'd bytes.
 
 use std::time::Instant;
 
 use moat_bench::{
     bench_perf, effective_config, render_registry, run_arena_command, run_experiment,
     run_faults_command, run_fleet_command, run_recover_command, run_trace_command, Checkpoint,
-    Scale, ALL_EXPERIMENTS,
+    PerfLab, Scale, ALL_EXPERIMENTS,
 };
 use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
 
@@ -243,6 +244,8 @@ fn main() {
         None
     };
 
+    // One lab for the run: each stream loads, each distinct cell runs once.
+    let mut lab = PerfLab::new(scale);
     let mut failed = false;
     let mut bench_report = None;
     let mut tel_reg = MetricsRegistry::new();
@@ -268,7 +271,7 @@ fn main() {
                 continue;
             }
         }
-        match run_experiment(name, scale) {
+        match run_experiment(name, &mut lab) {
             Some(out) => {
                 println!("{out}");
                 took(name, start);

@@ -95,8 +95,8 @@ pub const ALL_EXPERIMENTS: [&str; 19] = [
 ];
 
 /// Runs an experiment by name (figures 13 and storage are included under
-/// their own names too).
-pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
+/// their own names too); the perf tables and `energy` share `lab`.
+pub fn run_experiment(name: &str, lab: &mut PerfLab) -> Option<String> {
     if name == "storage" {
         return Some(storage());
     }
@@ -106,10 +106,10 @@ pub fn run_experiment(name: &str, scale: Scale) -> Option<String> {
     match name {
         "ablation-refresh" => return Some(ablation_refresh_order()),
         "ablation-trackers" => return Some(ablation_tracker_class()),
-        "energy" => return Some(energy(scale)),
+        "energy" => return Some(energy(lab)),
         _ => {}
     }
-    run_security(name).or_else(|| run_perf(name, scale))
+    run_security(name).or_else(|| run_perf(name, lab))
 }
 
 #[cfg(test)]
@@ -128,8 +128,9 @@ mod tests {
     fn every_listed_experiment_dispatches() {
         // Dispatch-only check for the cheap ones; the expensive perf
         // sweeps are run by `repro all` and `repro <name>`, not here.
+        let mut lab = PerfLab::new(Scale::scaled());
         for name in ["fig8", "storage"] {
-            assert!(run_experiment(name, Scale::scaled()).is_some());
+            assert!(run_experiment(name, &mut lab).is_some());
         }
     }
 }

@@ -5,15 +5,17 @@
 //! Every experiment runs each workload stream twice — ALERTs enabled and
 //! disabled — and reports the completion-time ratio, the paper's
 //! "normalized to a system that does not incur any ALERTs". The ALERT-free
-//! baseline is engine-independent (REF timing only), so it is computed
-//! once per workload and reused across configuration sweeps.
+//! baseline is engine-independent (REF timing only).
 //!
-//! All simulations run on the monomorphized `PerfSim<MoatEngine>` fast
-//! path, and the sweep tables fan their (profile × configuration) cells
-//! across cores via [`crate::run_sweep`] — with results bit-identical to
-//! a serial run.
+//! One [`PerfLab`] serves a whole `repro` run. It loads each profile's
+//! stream and computes its baseline once, and simulates each distinct
+//! (profile, MOAT configuration, budget) cell once: a cell that several
+//! tables print, such as the default ATH 64 cell, runs once per run. All
+//! simulations run on the monomorphized `PerfSim<MoatEngine>` fast path,
+//! and [`crate::run_sweep`] fans the new cells across cores — with
+//! results bit-identical to a serial run.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 use moat_analysis::RatchetModel;
 use moat_attacks::{multi_row_kernel, single_row_kernel, tsa_stream};
@@ -22,12 +24,12 @@ use moat_dram::{AboLevel, DramConfig, Nanos};
 use moat_sim::{
     PerfConfig, PerfReport, PerfSim, Request, RequestStream, SlotBudget, DEFAULT_CHUNK,
 };
-use moat_trace::{TraceCache, TraceFile};
+use moat_trace::{TraceCache, TraceFile, TraceReplay};
 use moat_workloads::{trace_key, HistogramCheck, WorkloadProfile, WorkloadStream, PROFILES};
 use rayon::prelude::*;
 
 use crate::scale::Scale;
-use crate::sweep::{run_sweep, SweepCell};
+use crate::sweep::{run_cells, run_sweep, SweepCell, SweepStats};
 
 /// Default budget of cached requests across all in-memory materialized
 /// workload streams: 16 M requests ≈ 256 MB (a `Request` is 16 bytes).
@@ -38,40 +40,72 @@ use crate::sweep::{run_sweep, SweepCell};
 /// subsequent run, via the on-disk [`TraceCache`]).
 const STREAM_CACHE_BUDGET: u64 = 16_000_000;
 
-/// The generator seed every performance experiment runs with (part of
-/// each stream's trace-cache content address).
+/// The generator seed of the lab's streams, part of each stream's
+/// trace-cache content address. Table 4 measures the same streams the
+/// perf tables replay, each loaded once per `repro` run.
 pub(crate) const STREAM_SEED: u64 = 0xA0A7;
 
-/// One profile's materialized request stream: either a flat in-memory
-/// vector (fits the request budget) or a validated mmap-backed trace
-/// from the on-disk cache (paper scale). Both replay the exact sequence
-/// the live generator emits, pinned by the sweep-equality tests.
+/// One profile's stream as the lab holds it: a flat in-memory vector
+/// (fits the request budget), a validated mmap-backed trace from the
+/// on-disk cache (paper scale), or neither — regenerated live on every
+/// replay. All three replay the exact sequence the live generator emits,
+/// pinned by the sweep-equality tests.
 #[derive(Debug)]
 enum CachedStream {
     Memory(Vec<Request>),
     Mapped(TraceFile),
+    Live,
 }
 
-/// Shared context for the performance sweeps: caches the per-workload
-/// ALERT-free baseline completion times, and the *materialized request
-/// streams* themselves, so every sweep cell replays flat requests —
-/// from memory within the request budget, from the mmap-backed
-/// [`TraceCache`] beyond it — instead of re-running the heap-merge
-/// generator (which otherwise dominates a cell's wall time). Once
-/// [`Self::precompute_baselines`] has run, the lab can be shared
-/// immutably across worker threads.
+/// A cell's key in the lab's memo: profile, MOAT configuration and
+/// budget. Budgets are stored reduced, so equal rates share a key.
+type CellKey = (&'static str, MoatConfig, SlotBudget);
+
+fn cell_key(cell: &SweepCell) -> CellKey {
+    (cell.profile.name, cell.moat, cell.budget)
+}
+
+/// A replay of one [`CachedStream`]: the one request source of
+/// baselines, sweep cells and Table 4.
+enum Replay<'a> {
+    Memory(std::iter::Copied<std::slice::Iter<'a, Request>>),
+    Mapped(TraceReplay<'a>),
+    Live(Box<WorkloadStream>),
+}
+
+impl RequestStream for Replay<'_> {
+    fn next_request(&mut self) -> Option<Request> {
+        match self {
+            Replay::Memory(requests) => requests.next(),
+            Replay::Mapped(trace) => trace.next_request(),
+            Replay::Live(stream) => stream.next_request(),
+        }
+    }
+
+    fn next_chunk(&mut self, buf: &mut Vec<Request>) -> usize {
+        match self {
+            Replay::Memory(requests) => RequestStream::next_chunk(requests, buf),
+            Replay::Mapped(trace) => trace.next_chunk(buf),
+            Replay::Live(stream) => stream.next_chunk(buf),
+        }
+    }
+}
+
+/// The performance lab that every perf table of a `repro` run shares:
+/// each profile's stream and ALERT-free baseline, loaded once, and every
+/// cell it has simulated, so a cell that several tables print runs once.
+/// Cells replay flat requests instead of re-running the heap-merge
+/// generator, which otherwise dominates a cell's wall time.
 #[derive(Debug)]
 pub struct PerfLab {
     scale: Scale,
     dram: DramConfig,
-    baselines: HashMap<&'static str, Nanos>,
-    /// Materialized per-profile request sequences (identical to what the
-    /// live generator emits, pinned by the sweep-equality tests).
-    streams: HashMap<&'static str, CachedStream>,
+    /// Each loaded profile's stream and ALERT-free completion time.
+    streams: HashMap<&'static str, (CachedStream, Nanos)>,
+    /// Each simulated cell's (slowdown, report).
+    memo: HashMap<CellKey, (f64, PerfReport)>,
     /// Remaining request budget for in-memory materialization.
     cache_budget: u64,
-    /// Whether over-budget profiles may spill to the on-disk trace cache.
-    use_trace_cache: bool,
     /// The on-disk cache, opened lazily on the first spill.
     trace_cache: Option<TraceCache>,
 }
@@ -82,33 +116,20 @@ impl PerfLab {
         PerfLab {
             scale,
             dram: DramConfig::paper_baseline(),
-            baselines: HashMap::new(),
             streams: HashMap::new(),
+            memo: HashMap::new(),
             cache_budget: STREAM_CACHE_BUDGET,
-            use_trace_cache: true,
             trace_cache: None,
         }
     }
 
     /// Overrides the in-memory stream-materialization budget (in
-    /// requests). `0` disables materialization entirely — every run
-    /// regenerates its stream, the pre-cache behaviour the equality
-    /// tests compare against. Profiles whose streams exceed the
-    /// remaining budget spill to the on-disk trace cache instead (unless
-    /// [`set_trace_cache_enabled`](Self::set_trace_cache_enabled) turned
-    /// that off).
+    /// requests). `0` disables materialization and the trace cache alike:
+    /// every replay regenerates its stream live, the reference the
+    /// equality tests compare against. Otherwise profiles whose streams
+    /// exceed the remaining budget spill to the on-disk trace cache.
     pub fn set_stream_cache_budget(&mut self, requests: u64) {
         self.cache_budget = requests;
-    }
-
-    /// Enables or disables the on-disk trace cache for over-budget
-    /// profiles (enabled by default; disabling restores the pure
-    /// in-memory-or-live behaviour).
-    pub fn set_trace_cache_enabled(&mut self, enabled: bool) {
-        self.use_trace_cache = enabled;
-        if !enabled {
-            self.trace_cache = None;
-        }
     }
 
     /// Points the lab's trace cache at a specific directory (mainly for
@@ -119,7 +140,6 @@ impl PerfLab {
     /// Propagates directory-creation errors.
     pub fn set_trace_dir(&mut self, dir: impl Into<std::path::PathBuf>) -> std::io::Result<()> {
         self.trace_cache = Some(TraceCache::open(dir)?);
-        self.use_trace_cache = true;
         Ok(())
     }
 
@@ -128,7 +148,7 @@ impl PerfLab {
     pub fn mapped_streams(&self) -> usize {
         self.streams
             .values()
-            .filter(|s| matches!(s, CachedStream::Mapped(_)))
+            .filter(|(s, _)| matches!(s, CachedStream::Mapped(_)))
             .count()
     }
 
@@ -146,65 +166,34 @@ impl PerfLab {
         WorkloadStream::new(profile, &self.dram, self.scale.generator(STREAM_SEED))
     }
 
-    /// Computes the ALERT-free baseline completion time for `profile`
-    /// without touching the cache. Engine-independent: with ALERTs
-    /// disabled only REF timing shapes the completion time.
-    fn compute_baseline(&self, profile: &WorkloadProfile) -> Nanos {
-        self.baseline_of(self.stream(profile))
-    }
-
-    /// The ALERT-free baseline completion time for `profile` (cached; it
-    /// is identical for every engine configuration).
-    fn baseline(&mut self, profile: &'static WorkloadProfile) -> Nanos {
-        if let Some(&t) = self.baselines.get(profile.name) {
-            return t;
-        }
-        let t = self.compute_baseline(profile);
-        self.baselines.insert(profile.name, t);
-        t
-    }
-
-    /// Fills the baseline cache for `profiles`, computing the missing
-    /// entries **in parallel** (the sweep runner calls this before
-    /// fanning cells out, so cells only ever read the cache).
+    /// Loads the `profiles` not loaded yet, **in parallel**: each one's
+    /// stream and its ALERT-free baseline (engine-independent: with
+    /// ALERTs disabled only REF timing shapes the completion time).
     ///
-    /// Profiles whose estimated stream size fits the remaining
-    /// materialization budget are generated **once** here into a flat
-    /// request vector. Profiles beyond the budget go through the on-disk
-    /// [`TraceCache`] instead: a cache hit replays the mmap'd trace
-    /// directly, a miss generates once while spilling to disk — either
-    /// way, their baseline runs and every subsequent sweep cell replay
-    /// flat requests, and the generation cost leaves the per-cell hot
-    /// path entirely (across *runs*, too, since the trace cache
-    /// persists). If the disk is unavailable, the over-budget profile
-    /// falls back to live generation per run, the pre-trace behaviour.
-    pub fn precompute_baselines(&mut self, profiles: &[&'static WorkloadProfile]) {
-        #[derive(Clone, Copy, PartialEq)]
+    /// Profiles are admitted in name order. A stream that fits the
+    /// remaining materialization budget is generated **once** into a
+    /// flat request vector; one beyond it goes through the on-disk
+    /// [`TraceCache`], which replays a hit and records a miss, so the
+    /// trace persists across runs. If the disk is unavailable, the
+    /// profile regenerates live on every replay.
+    pub fn load(&mut self, profiles: &[&'static WorkloadProfile]) {
+        #[derive(PartialEq)]
         enum Plan {
             Memory,
             Disk,
             Live,
         }
-        enum Loaded {
-            Memory(Vec<Request>),
-            Mapped(TraceFile),
-            Live,
-        }
 
-        let missing: Vec<&'static WorkloadProfile> = profiles
-            .iter()
-            .copied()
-            .filter(|p| !self.baselines.contains_key(p.name))
-            .collect();
-        if missing.is_empty() {
-            return;
-        }
-        // Greedy in-memory admission in input order, against the size the
-        // generator itself budgets per bank-window (the emitted count can
-        // exceed the estimate slightly; the budget is a guide, not a
-        // cap). A zero budget disables materialization entirely.
-        let mut plans: Vec<Plan> = Vec::with_capacity(missing.len());
-        for p in &missing {
+        let mut missing = profiles.to_vec();
+        missing.retain(|p| !self.streams.contains_key(p.name));
+        missing.sort_by_key(|p| p.name);
+        missing.dedup_by_key(|p| p.name);
+        // Greedy in-memory admission, against the size the generator
+        // itself budgets per bank-window (the emitted count can exceed
+        // the estimate slightly; the budget is a guide, not a cap). A
+        // zero budget disables materialization entirely.
+        let mut jobs = Vec::with_capacity(missing.len());
+        for p in missing {
             let est = WorkloadStream::acts_per_bank_per_window(p, &self.dram)
                 * u64::from(self.scale.banks)
                 * u64::from(self.scale.windows);
@@ -213,17 +202,15 @@ impl PerfLab {
             } else if est <= self.cache_budget {
                 self.cache_budget -= est;
                 Plan::Memory
-            } else if self.use_trace_cache {
-                Plan::Disk
             } else {
-                Plan::Live
+                Plan::Disk
             };
-            plans.push(plan);
+            jobs.push((p, plan));
         }
         // Open the disk cache lazily, only when something actually spills.
-        if plans.contains(&Plan::Disk) && self.trace_cache.is_none() {
-            match TraceCache::open_default() {
-                Ok(cache) => self.trace_cache = Some(cache),
+        if self.trace_cache.is_none() && jobs.iter().any(|(_, plan)| *plan == Plan::Disk) {
+            self.trace_cache = match TraceCache::open_default() {
+                Ok(cache) => Some(cache),
                 Err(e) => {
                     moat_telemetry::log::warn(
                         "moat-bench",
@@ -231,59 +218,47 @@ impl PerfLab {
                             "trace cache unavailable ({e}); over-budget streams regenerate live"
                         ),
                     );
-                    for plan in &mut plans {
-                        if *plan == Plan::Disk {
-                            *plan = Plan::Live;
-                        }
-                    }
+                    None
                 }
-            }
+            };
         }
 
         let shared: &PerfLab = self;
-        let jobs: Vec<(&'static WorkloadProfile, Plan)> = missing.into_iter().zip(plans).collect();
-        let computed: Vec<(&'static str, Loaded, Nanos)> = jobs
+        let loaded: Vec<(&'static str, CachedStream, Nanos)> = jobs
             .into_par_iter()
-            .map(|(p, plan)| match plan {
-                Plan::Memory => {
-                    let requests = shared.materialize(p);
-                    let base = shared.baseline_of(requests.iter().copied());
-                    (p.name, Loaded::Memory(requests), base)
-                }
-                Plan::Disk => {
-                    let cache = shared.trace_cache.as_ref().expect("opened above");
-                    let key = trace_key(p, &shared.dram, shared.scale.generator(STREAM_SEED));
-                    match cache.open_or_record(&key, || shared.stream(p)) {
-                        Ok(trace) => {
-                            let base = shared.baseline_of(trace.replay());
-                            (p.name, Loaded::Mapped(trace), base)
-                        }
-                        Err(e) => {
-                            moat_telemetry::log::warn(
-                                "moat-bench",
-                                format_args!(
-                                    "recording {} failed ({e}); regenerating live",
-                                    p.name
-                                ),
-                            );
-                            (p.name, Loaded::Live, shared.compute_baseline(p))
+            .map(|(p, plan)| {
+                let stream = match plan {
+                    Plan::Memory => CachedStream::Memory(shared.materialize(p)),
+                    Plan::Disk => {
+                        let key = trace_key(p, &shared.dram, shared.scale.generator(STREAM_SEED));
+                        let cache = shared.trace_cache.as_ref();
+                        match cache.map(|c| c.open_or_record(&key, || shared.stream(p))) {
+                            Some(Ok(trace)) => CachedStream::Mapped(trace),
+                            Some(Err(e)) => {
+                                moat_telemetry::log::warn(
+                                    "moat-bench",
+                                    format_args!(
+                                        "recording {} failed ({e}); regenerating live",
+                                        p.name
+                                    ),
+                                );
+                                CachedStream::Live
+                            }
+                            // The cache failed to open; `load` warned above.
+                            None => CachedStream::Live,
                         }
                     }
-                }
-                Plan::Live => (p.name, Loaded::Live, shared.compute_baseline(p)),
+                    Plan::Live => CachedStream::Live,
+                };
+                let cfg = shared.perf_config(AboLevel::L1, SlotBudget::paper_default(), false);
+                let base = PerfSim::new(cfg, moat_factory(MoatConfig::paper_default()))
+                    .run(shared.replay(p, &stream))
+                    .completion_time;
+                (p.name, stream, base)
             })
             .collect();
-        for (name, loaded, base) in computed {
-            match loaded {
-                Loaded::Memory(requests) => {
-                    self.streams.insert(name, CachedStream::Memory(requests));
-                }
-                Loaded::Mapped(trace) => {
-                    self.streams.insert(name, CachedStream::Mapped(trace));
-                }
-                Loaded::Live => {}
-            }
-            self.baselines.insert(name, base);
+        for (name, stream, base) in loaded {
+            self.streams.insert(name, (stream, base));
         }
     }
 
@@ -299,49 +274,45 @@ impl PerfLab {
         out
     }
 
-    /// The ALERT-free baseline completion time over an arbitrary stream.
-    fn baseline_of<S: RequestStream>(&self, stream: S) -> Nanos {
-        let cfg = self.perf_config(AboLevel::L1, SlotBudget::paper_default(), false);
-        let mut sim = PerfSim::new(cfg, moat_factory(MoatConfig::paper_default()));
-        sim.run(stream).completion_time
+    /// Replays `profile`'s `stream` from memory, the mapped trace, or the
+    /// live generator.
+    fn replay<'a>(&self, profile: &WorkloadProfile, stream: &'a CachedStream) -> Replay<'a> {
+        match stream {
+            CachedStream::Memory(requests) => Replay::Memory(requests.iter().copied()),
+            CachedStream::Mapped(trace) => Replay::Mapped(trace.replay()),
+            CachedStream::Live => Replay::Live(Box::new(self.stream(profile))),
+        }
     }
 
-    /// Runs `profile` under a MOAT configuration and returns
-    /// (slowdown, report).
-    pub fn run_moat(
-        &mut self,
-        profile: &'static WorkloadProfile,
-        moat: MoatConfig,
-        budget: SlotBudget,
-    ) -> (f64, PerfReport) {
-        self.baseline(profile);
-        self.run_moat_shared(profile, moat, budget)
+    /// Each of `cells`' (slowdown, report), in input order, and the
+    /// [`SweepStats`] of this call. The lab loads the cells' profiles and
+    /// simulates each distinct cell it has not simulated yet once, fanned
+    /// across cores through [`run_cells`]; every other cell is read from
+    /// the memo, so the stats count only the cells this call simulated.
+    pub(crate) fn sweep(&mut self, cells: &[SweepCell]) -> (Vec<(f64, PerfReport)>, SweepStats) {
+        self.load(&cells.iter().map(|c| c.profile).collect::<Vec<_>>());
+        let mut seen = HashSet::new();
+        let fresh: Vec<SweepCell> = cells
+            .iter()
+            .filter(|c| !self.memo.contains_key(&cell_key(c)) && seen.insert(cell_key(c)))
+            .copied()
+            .collect();
+        let (simulated, stats) = run_cells(fresh, |cell| {
+            let result = self.simulate(&cell);
+            ((cell_key(&cell), result), result.1.total_acts)
+        });
+        self.memo.extend(simulated);
+        let results = cells.iter().map(|c| self.memo[&cell_key(c)]).collect();
+        (results, stats)
     }
 
-    /// Shared-reference variant of [`run_moat`](Self::run_moat) for
-    /// parallel sweeps. Uses the cached baseline when present and
-    /// recomputes it on the fly otherwise (without caching).
-    pub fn run_moat_shared(
-        &self,
-        profile: &'static WorkloadProfile,
-        moat: MoatConfig,
-        budget: SlotBudget,
-    ) -> (f64, PerfReport) {
-        let base = match self.baselines.get(profile.name) {
-            Some(&t) => t,
-            None => self.compute_baseline(profile),
-        };
-        let cfg = self.perf_config(moat.level, budget, true);
-        let mut sim = PerfSim::new(cfg, moat_factory(moat));
-        // Replay the materialized stream when available — identical
-        // sequence, none of the generator's per-request heap traffic.
-        // The mmap-backed form decodes records straight out of the
-        // mapped cache file.
-        let report = match self.streams.get(profile.name) {
-            Some(CachedStream::Memory(requests)) => sim.run(requests.iter().copied()),
-            Some(CachedStream::Mapped(trace)) => sim.run(trace.replay()),
-            None => sim.run(self.stream(profile)),
-        };
+    /// Simulates `cell` against its loaded profile and returns
+    /// (slowdown, report), bypassing the memo.
+    pub(crate) fn simulate(&self, cell: &SweepCell) -> (f64, PerfReport) {
+        let (stream, base) = &self.streams[cell.profile.name];
+        let cfg = self.perf_config(cell.moat.level, cell.budget, true);
+        let report =
+            PerfSim::new(cfg, moat_factory(cell.moat)).run(self.replay(cell.profile, stream));
         let slowdown = report.completion_time.as_u64() as f64 / base.as_u64() as f64 - 1.0;
         (slowdown.max(0.0), report)
     }
@@ -353,10 +324,11 @@ fn moat_factory(cfg: MoatConfig) -> impl FnMut() -> MoatEngine {
     move || MoatEngine::new(cfg)
 }
 
-/// Table 4: the generator's per-bank-per-tREFW histogram next to the
-/// paper's numbers.
-pub fn table4(scale: Scale) -> String {
-    let dram = DramConfig::paper_baseline();
+/// Table 4: the generator's per-bank-per-tREFW histogram, measured on
+/// the lab's streams, next to the paper's numbers.
+pub fn table4(lab: &mut PerfLab) -> String {
+    lab.load(&PROFILES.iter().collect::<Vec<_>>());
+    let lab: &PerfLab = lab;
     let mut out = String::from(
         "Table 4: workload characteristics (generated vs paper, rows per bank per tREFW)\n\
          workload    | ACT-PKI | 32+ gen/paper | 64+ gen/paper | 128+ gen/paper\n",
@@ -364,8 +336,8 @@ pub fn table4(scale: Scale) -> String {
     let rows: Vec<String> = PROFILES
         .par_iter()
         .map(|p| {
-            let stream = WorkloadStream::new(p, &dram, scale.generator(0xA0A7));
-            let h = HistogramCheck::measure(stream, &dram, scale.banks, scale.windows);
+            let stream = lab.replay(p, &lab.streams[p.name].0);
+            let h = HistogramCheck::measure(stream, &lab.dram, lab.scale.banks, lab.scale.windows);
             format!(
                 "  {:<10} | {:>7.1} | {:>6.0}/{:<5} | {:>6.0}/{:<5} | {:>6.0}/{:<4}\n",
                 p.name, p.act_pki, h.act32, p.act32, h.act64, p.act64, h.act128, p.act128
@@ -380,8 +352,7 @@ pub fn table4(scale: Scale) -> String {
 
 /// Fig. 11: per-workload normalized performance and ALERTs-per-tREFI for
 /// MOAT at ATH 64 and ATH 128 (ETH = ATH/2).
-pub fn fig11(scale: Scale) -> String {
-    let mut lab = PerfLab::new(scale);
+pub fn fig11(lab: &mut PerfLab) -> String {
     let cells: Vec<SweepCell> = PROFILES
         .iter()
         .flat_map(|p| {
@@ -391,7 +362,7 @@ pub fn fig11(scale: Scale) -> String {
             ]
         })
         .collect();
-    let (outcomes, _) = run_sweep(&mut lab, &cells);
+    let (outcomes, _) = run_sweep(lab, &cells);
 
     let mut out = String::from(
         "Fig. 11: MOAT performance (normalized) and ALERT rate per tREFI\n\
@@ -423,8 +394,7 @@ pub fn fig11(scale: Scale) -> String {
 
 /// Table 5: the ETH sweep at ATH 64 — mitigations+ALERTs per tREFW per
 /// bank, and slowdown.
-pub fn table5(scale: Scale) -> String {
-    let mut lab = PerfLab::new(scale);
+pub fn table5(lab: &mut PerfLab) -> String {
     let mut out = String::from(
         "Table 5: impact of ETH (ATH 64)\n\
          ETH | mitig.+ALERT per tREFW per bank | avg slowdown (paper)\n",
@@ -443,7 +413,7 @@ pub fn table5(scale: Scale) -> String {
                 .map(move |p| SweepCell::new(p, MoatConfig::with_ath(64).eth(eth)))
         })
         .collect();
-    let (outcomes, _) = run_sweep(&mut lab, &cells);
+    let (outcomes, _) = run_sweep(lab, &cells);
 
     for (row, (eth, paper_mit, paper_slow)) in outcomes.chunks_exact(PROFILES.len()).zip(paper) {
         let mitigations: f64 = row
@@ -460,8 +430,7 @@ pub fn table5(scale: Scale) -> String {
 }
 
 /// Table 6: mitigation-rate sweep at ATH 64.
-pub fn table6(scale: Scale) -> String {
-    let mut lab = PerfLab::new(scale);
+pub fn table6(lab: &mut PerfLab) -> String {
     let mut out = String::from(
         "Table 6: impact of mitigation rate (ATH 64)\n\
          rate                     | avg slowdown (paper)\n",
@@ -499,7 +468,7 @@ pub fn table6(scale: Scale) -> String {
             })
         })
         .collect();
-    let (outcomes, _) = run_sweep(&mut lab, &cells);
+    let (outcomes, _) = run_sweep(lab, &cells);
 
     for (row, (label, _, paper)) in outcomes.chunks_exact(PROFILES.len()).zip(rows) {
         let avg = row.iter().map(|o| o.slowdown).sum::<f64>() / PROFILES.len() as f64 * 100.0;
@@ -510,8 +479,7 @@ pub fn table6(scale: Scale) -> String {
 
 /// Table 7: ATH × ABO-level sweep — slowdown plus the Appendix-A safe
 /// threshold.
-pub fn table7(scale: Scale) -> String {
-    let mut lab = PerfLab::new(scale);
+pub fn table7(lab: &mut PerfLab) -> String {
     let model = RatchetModel::default();
     let mut out = String::from(
         "Table 7: impact of ATH and level on slowdown and safe TRH\n\
@@ -537,7 +505,7 @@ pub fn table7(scale: Scale) -> String {
                 .map(move |p| SweepCell::new(p, MoatConfig::with_ath(ath).level(abo)))
         })
         .collect();
-    let (outcomes, _) = run_sweep(&mut lab, &cells);
+    let (outcomes, _) = run_sweep(lab, &cells);
 
     for (row, (ath, level, paper_slow, paper_trh)) in
         outcomes.chunks_exact(PROFILES.len()).zip(paper)
@@ -553,8 +521,7 @@ pub fn table7(scale: Scale) -> String {
 
 /// Fig. 17: MOAT-L1/L2/L4 normalized performance and ALERT rates at
 /// ATH 64.
-pub fn fig17(scale: Scale) -> String {
-    let mut lab = PerfLab::new(scale);
+pub fn fig17(lab: &mut PerfLab) -> String {
     let cells: Vec<SweepCell> = PROFILES
         .iter()
         .flat_map(|p| {
@@ -563,7 +530,7 @@ pub fn fig17(scale: Scale) -> String {
                 .map(move |&level| SweepCell::new(p, MoatConfig::with_ath(64).level(level)))
         })
         .collect();
-    let (outcomes, _) = run_sweep(&mut lab, &cells);
+    let (outcomes, _) = run_sweep(lab, &cells);
 
     let mut out = String::from(
         "Fig. 17: MOAT generalized to ABO levels (ATH 64, ETH 32)\n\
@@ -653,15 +620,16 @@ pub fn fig12() -> String {
     out
 }
 
-/// Dispatches a performance experiment by name.
-pub fn run_perf(name: &str, scale: Scale) -> Option<String> {
+/// Dispatches a performance experiment by name; the sweeps read and
+/// fill `lab`.
+pub fn run_perf(name: &str, lab: &mut PerfLab) -> Option<String> {
     Some(match name {
-        "table4" => table4(scale),
-        "fig11" => fig11(scale),
-        "table5" => table5(scale),
-        "table6" => table6(scale),
-        "table7" => table7(scale),
-        "fig17" => fig17(scale),
+        "table4" => table4(lab),
+        "fig11" => fig11(lab),
+        "table5" => table5(lab),
+        "table6" => table6(lab),
+        "table7" => table7(lab),
+        "fig17" => fig17(lab),
         "fig12" => fig12(),
         "fig13" => fig13(),
         _ => return None,
@@ -671,35 +639,66 @@ pub fn run_perf(name: &str, scale: Scale) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sweep::SweepOutcome;
+
+    const TINY: Scale = Scale {
+        banks: 1,
+        windows: 1,
+    };
+
+    fn profiles(names: &[&str]) -> Vec<&'static WorkloadProfile> {
+        names
+            .iter()
+            .map(|n| WorkloadProfile::by_name(n).unwrap())
+            .collect()
+    }
+
+    /// One default-budget ATH 64 cell per profile.
+    fn cells(profiles: &[&'static WorkloadProfile]) -> Vec<SweepCell> {
+        profiles
+            .iter()
+            .map(|p| SweepCell::new(p, MoatConfig::with_ath(64)))
+            .collect()
+    }
+
+    /// Each outcome's slowdown bits and report, for bit-equality checks.
+    fn results(outcomes: &[SweepOutcome]) -> Vec<(u64, PerfReport)> {
+        outcomes
+            .iter()
+            .map(|o| (o.slowdown.to_bits(), o.report))
+            .collect()
+    }
 
     #[test]
     fn lab_reuses_baselines() {
-        let mut lab = PerfLab::new(Scale {
-            banks: 1,
-            windows: 1,
-        });
+        // A profile loads once per lab: a second sweep over it, at another
+        // configuration, materializes nothing and keeps its baseline.
+        let mut lab = PerfLab::new(TINY);
         let p = WorkloadProfile::by_name("x264").unwrap();
-        let t1 = lab.baseline(p);
-        let t2 = lab.baseline(p);
-        assert_eq!(t1, t2);
-        assert_eq!(lab.baselines.len(), 1);
+        run_sweep(&mut lab, &[SweepCell::new(p, MoatConfig::with_ath(64))]);
+        let (budget, base) = (lab.cache_budget, lab.streams[p.name].1);
+        run_sweep(&mut lab, &[SweepCell::new(p, MoatConfig::with_ath(128))]);
+        assert_eq!(lab.streams.len(), 1);
+        assert_eq!(lab.cache_budget, budget, "the stream is materialized once");
+        assert_eq!(lab.streams[p.name].1, base);
+        assert_eq!(lab.memo.len(), 2);
     }
 
     #[test]
     fn precompute_fills_cache_identically() {
-        let scale = Scale {
-            banks: 1,
-            windows: 1,
-        };
-        let profiles: Vec<&'static WorkloadProfile> = ["x264", "gcc", "tc"]
-            .iter()
-            .map(|n| WorkloadProfile::by_name(n).unwrap())
-            .collect();
-        let mut parallel = PerfLab::new(scale);
-        parallel.precompute_baselines(&profiles);
-        let mut serial = PerfLab::new(scale);
+        // Loading profiles together (in parallel) and one lab per profile
+        // give the same baselines.
+        let profiles = profiles(&["x264", "gcc", "tc"]);
+        let mut parallel = PerfLab::new(TINY);
+        parallel.load(&profiles);
         for p in &profiles {
-            assert_eq!(serial.baseline(p), parallel.baselines[p.name], "{}", p.name);
+            let mut serial = PerfLab::new(TINY);
+            serial.load(&[p]);
+            assert_eq!(
+                serial.streams[p.name].1, parallel.streams[p.name].1,
+                "{}",
+                p.name
+            );
         }
     }
 
@@ -708,106 +707,85 @@ mod tests {
         // Stream materialization is a host-side cache only: cells replay
         // the exact sequence the live generator emits, so slowdowns and
         // reports are bit-identical with the cache on or off.
-        let scale = Scale {
-            banks: 1,
-            windows: 1,
-        };
-        let profiles: Vec<&'static WorkloadProfile> = ["x264", "gcc", "roms"]
-            .iter()
-            .map(|n| WorkloadProfile::by_name(n).unwrap())
-            .collect();
-        let mut cached = PerfLab::new(scale);
-        cached.precompute_baselines(&profiles);
-        assert_eq!(cached.streams.len(), 3, "all profiles fit the budget");
-        assert_eq!(cached.mapped_streams(), 0, "nothing spills at this scale");
-        let mut live = PerfLab::new(scale);
+        let profiles = profiles(&["x264", "gcc", "roms"]);
+        let mut cached = PerfLab::new(TINY);
+        let (from_memory, _) = run_sweep(&mut cached, &cells(&profiles));
+        assert!(
+            cached
+                .streams
+                .values()
+                .all(|(s, _)| matches!(s, CachedStream::Memory(_))),
+            "all profiles fit the budget"
+        );
+        let mut live = PerfLab::new(TINY);
         live.set_stream_cache_budget(0);
-        live.precompute_baselines(&profiles);
-        assert!(live.streams.is_empty());
+        let (from_live, _) = run_sweep(&mut live, &cells(&profiles));
+        assert!(live
+            .streams
+            .values()
+            .all(|(s, _)| matches!(s, CachedStream::Live)));
         for p in &profiles {
-            assert_eq!(cached.baselines[p.name], live.baselines[p.name]);
-            let moat = MoatConfig::with_ath(64);
-            let (s_c, r_c) = cached.run_moat_shared(p, moat, SlotBudget::paper_default());
-            let (s_l, r_l) = live.run_moat_shared(p, moat, SlotBudget::paper_default());
-            assert_eq!(r_c, r_l, "{}", p.name);
-            assert_eq!(s_c.to_bits(), s_l.to_bits());
+            assert_eq!(cached.streams[p.name].1, live.streams[p.name].1);
         }
+        assert_eq!(results(&from_memory), results(&from_live));
     }
 
     #[test]
     fn mmap_trace_sweep_matches_live_generation() {
         // The disk route of the stream cache: with a tiny in-memory
         // budget every profile spills to the mmap-backed trace cache,
-        // and replayed cells stay bit-identical to live generation. A
-        // second lab on the same directory replays without recording.
-        let scale = Scale {
-            banks: 1,
-            windows: 1,
-        };
+        // and replayed baselines and cells stay bit-identical to live
+        // generation. A second lab on the same directory replays without
+        // recording.
         let dir = std::env::temp_dir().join(format!("moat-lab-trace-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
-        let profiles: Vec<&'static WorkloadProfile> = ["x264", "tc"]
-            .iter()
-            .map(|n| WorkloadProfile::by_name(n).unwrap())
-            .collect();
+        let profiles = profiles(&["x264", "tc"]);
+        let run = |budget: u64, dir: Option<&std::path::Path>| {
+            let mut lab = PerfLab::new(TINY);
+            lab.set_stream_cache_budget(budget);
+            if let Some(dir) = dir {
+                lab.set_trace_dir(dir).unwrap();
+            }
+            let (outcomes, _) = run_sweep(&mut lab, &cells(&profiles));
+            let baselines: Vec<Nanos> = profiles.iter().map(|p| lab.streams[p.name].1).collect();
+            (lab.mapped_streams(), baselines, results(&outcomes))
+        };
 
-        let mut mapped = PerfLab::new(scale);
-        mapped.set_stream_cache_budget(1); // everything exceeds one request
-        mapped.set_trace_dir(&dir).unwrap();
-        mapped.precompute_baselines(&profiles);
-        assert_eq!(mapped.mapped_streams(), 2, "both profiles spilled to disk");
-
-        let mut live = PerfLab::new(scale);
-        live.set_stream_cache_budget(0);
-        live.precompute_baselines(&profiles);
-
-        let mut replayed = PerfLab::new(scale);
-        replayed.set_stream_cache_budget(1);
-        replayed.set_trace_dir(&dir).unwrap();
-        replayed.precompute_baselines(&profiles); // pure cache hits now
-        assert_eq!(replayed.mapped_streams(), 2);
-
-        for p in &profiles {
-            assert_eq!(mapped.baselines[p.name], live.baselines[p.name]);
-            let moat = MoatConfig::with_ath(64);
-            let (s_m, r_m) = mapped.run_moat_shared(p, moat, SlotBudget::paper_default());
-            let (s_l, r_l) = live.run_moat_shared(p, moat, SlotBudget::paper_default());
-            let (s_r, r_r) = replayed.run_moat_shared(p, moat, SlotBudget::paper_default());
-            assert_eq!(r_m, r_l, "{}", p.name);
-            assert_eq!(r_r, r_l, "{}", p.name);
-            assert_eq!(s_m.to_bits(), s_l.to_bits());
-            assert_eq!(s_r.to_bits(), s_l.to_bits());
-        }
+        // A budget of one request: everything spills to disk.
+        let mapped = run(1, Some(&dir));
+        assert_eq!(mapped.0, 2, "both profiles spilled to disk");
+        let live = run(0, None);
+        assert_eq!(live.0, 0);
+        let replayed = run(1, Some(&dir)); // pure cache hits now
+        assert_eq!(replayed.0, 2);
+        assert_eq!(mapped.1, live.1, "mapped baselines");
+        assert_eq!(replayed.1, live.1, "replayed baselines");
+        assert_eq!(mapped.2, live.2);
+        assert_eq!(replayed.2, live.2);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]
-    fn disabled_trace_cache_regenerates_live() {
-        let scale = Scale {
-            banks: 1,
-            windows: 1,
-        };
-        let p = WorkloadProfile::by_name("x264").unwrap();
-        let mut lab = PerfLab::new(scale);
-        lab.set_stream_cache_budget(1);
-        lab.set_trace_cache_enabled(false);
-        lab.precompute_baselines(&[p]);
-        assert!(lab.streams.is_empty(), "no memory fit, no disk: live");
-        let mut reference = PerfLab::new(scale);
-        reference.set_stream_cache_budget(0);
-        reference.precompute_baselines(&[p]);
-        assert_eq!(lab.baselines[p.name], reference.baselines[p.name]);
+    fn light_workload_has_negligible_slowdown() {
+        let mut lab = PerfLab::new(TINY);
+        let p = WorkloadProfile::by_name("tc").unwrap(); // no 64+ rows
+        let (outcomes, _) = run_sweep(&mut lab, &[SweepCell::new(p, MoatConfig::with_ath(64))]);
+        let (s, r) = (outcomes[0].slowdown, outcomes[0].report);
+        assert!(s < 0.01, "tc slowdown {s}");
+        assert_eq!(r.alerts, 0, "tc has no rows that can reach ATH");
     }
 
     #[test]
-    fn light_workload_has_negligible_slowdown() {
-        let mut lab = PerfLab::new(Scale {
-            banks: 1,
-            windows: 1,
-        });
-        let p = WorkloadProfile::by_name("tc").unwrap(); // no 64+ rows
-        let (s, r) = lab.run_moat(p, MoatConfig::with_ath(64), SlotBudget::paper_default());
-        assert!(s < 0.01, "tc slowdown {s}");
-        assert_eq!(r.alerts, 0, "tc has no rows that can reach ATH");
+    fn table4_reads_the_lab_streams() {
+        // Table 4 loads the streams the perf tables then replay: a sweep
+        // after it loads nothing new.
+        let mut lab = PerfLab::new(TINY);
+        let out = table4(&mut lab);
+        assert_eq!(lab.streams.len(), PROFILES.len());
+        assert!(out.contains("x264"));
+        let budget = lab.cache_budget;
+        run_sweep(&mut lab, &cells(&profiles(&["x264", "tc"])));
+        assert_eq!(lab.cache_budget, budget);
+        assert_eq!(lab.streams.len(), PROFILES.len());
     }
 }

@@ -542,7 +542,7 @@ fn measure_trace_store(bench: &mut PerfBenchReport) {
         .collect();
     let mut lab = PerfLab::new(Scale::full());
     lab.set_stream_cache_budget(1);
-    lab.precompute_baselines(&profiles); // records on the first ever run
+    lab.load(&profiles); // records on the first ever run
     let cells: Vec<SweepCell> = profiles
         .iter()
         .flat_map(|p| {
@@ -660,15 +660,15 @@ fn measure_sweep(bench: &mut PerfBenchReport, scale: Scale) {
 
     let mut serial_lab = PerfLab::new(scale);
     let profiles: Vec<_> = cells.iter().map(|c| c.profile).collect();
-    serial_lab.precompute_baselines(&profiles);
+    serial_lab.load(&profiles);
     let start = Instant::now();
     for cell in &cells {
-        let _ = serial_lab.run_moat_shared(cell.profile, cell.moat, cell.budget);
+        let _ = serial_lab.simulate(cell);
     }
     let serial_seconds = start.elapsed().as_secs_f64();
 
     let mut parallel_lab = PerfLab::new(scale);
-    parallel_lab.precompute_baselines(&profiles);
+    parallel_lab.load(&profiles);
     let start = Instant::now();
     let (_, stats) = run_sweep(&mut parallel_lab, &cells);
     let parallel_seconds = start.elapsed().as_secs_f64();

@@ -38,7 +38,7 @@ fn run_security_cells<C: Send + Clone>(
         let report = run(cell);
         (report, report.total_acts)
     });
-    reports.into_iter().map(|(report, _wall)| report).collect()
+    reports
 }
 
 /// Table 2: the feinting T_RH bound for per-row counters, model and

@@ -6,11 +6,12 @@
 //! attacker/configuration pair on [`SecuritySim`](moat_sim::SecuritySim)
 //! (routed through [`run_cells`] by `security_experiments`). Both fan
 //! their cells across cores with [`rayon`] — the performance sweeps after
-//! precomputing the per-workload ALERT-free baselines (also in parallel,
-//! since they are engine-independent and shared by every cell of a
-//! profile). Results come back **in input order** regardless of
-//! scheduling, and each cell is seeded identically to a serial run, so
-//! every parallel sweep is bit-for-bit reproducible.
+//! loading each workload's stream and ALERT-free baseline (also in
+//! parallel, since they are engine-independent and shared by every cell
+//! of a profile), and only for cells their [`PerfLab`] has not simulated
+//! yet. Results come back **in input order** regardless of scheduling,
+//! and each cell is seeded identically to a serial run, so every
+//! parallel sweep is bit-for-bit reproducible.
 
 use std::panic::{self, AssertUnwindSafe};
 use std::time::Instant;
@@ -54,15 +55,6 @@ pub struct SweepOutcome {
     pub slowdown: f64,
     /// The full performance report.
     pub report: PerfReport,
-    /// Host wall-clock seconds spent simulating this cell.
-    pub wall_seconds: f64,
-}
-
-impl SweepOutcome {
-    /// Simulated activations per host second for this cell.
-    pub fn acts_per_sec(&self) -> f64 {
-        self.report.total_acts as f64 / self.wall_seconds.max(1e-9)
-    }
 }
 
 /// Timing summary of a whole sweep.
@@ -70,8 +62,6 @@ impl SweepOutcome {
 pub struct SweepStats {
     /// Wall-clock seconds for the whole sweep (baselines + cells).
     pub wall_seconds: f64,
-    /// Sum of per-cell wall seconds (≈ what a serial run would cost).
-    pub cell_seconds: f64,
     /// Total simulated activations across all cells.
     pub total_acts: u64,
     /// Worker threads used.
@@ -163,8 +153,8 @@ pub(crate) fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
 /// once after a deterministic 50 ms backoff (a transient cause, an
 /// evicted cache file or briefly exhausted resource, often clears); a
 /// cell that panics on every attempt is marked [`CellOutcome::Failed`]
-/// with the panic message. Failed cells contribute their wall time to
-/// [`SweepStats::cell_seconds`] but no activations to `total_acts`.
+/// with the panic message. Failed cells contribute no activations to
+/// [`SweepStats::total_acts`].
 ///
 /// `run` must be a pure function of the cell (each cell seeds its own
 /// simulators), which keeps the parallel run bit-identical to a serial
@@ -198,7 +188,6 @@ where
 
     let stats = SweepStats {
         wall_seconds: start.elapsed().as_secs_f64(),
-        cell_seconds: timed.iter().map(|t| t.2).sum(),
         total_acts: timed.iter().map(|t| t.1).sum(),
         threads: rayon::current_num_threads(),
     };
@@ -212,10 +201,7 @@ where
 /// maps a cell to `(result, simulated_acts)` — the activation count feeds
 /// [`SweepStats`] — and must be a pure function of the cell (each cell
 /// seeds its own simulators), which is what makes the parallel run
-/// bit-identical to a serial loop over `cells` in order. Each result
-/// comes back paired with its cell's wall-clock seconds (the same
-/// measurements `cell_seconds` sums), so callers never need a second,
-/// nested timer.
+/// bit-identical to a serial loop over `cells` in order.
 ///
 /// Cells run crash-isolated through [`try_run_cells`]: a panicking cell
 /// is retried once and never interrupts its siblings. Because this
@@ -227,7 +213,7 @@ where
 /// # Panics
 ///
 /// After all cells have run, if any cell panicked on both attempts.
-pub fn run_cells<C, R, F>(cells: Vec<C>, run: F) -> (Vec<(R, f64)>, SweepStats)
+pub fn run_cells<C, R, F>(cells: Vec<C>, run: F) -> (Vec<R>, SweepStats)
 where
     C: Send + Clone,
     R: Send,
@@ -237,9 +223,9 @@ where
     let total = outcomes.len();
     let mut results = Vec::with_capacity(total);
     let mut failures = Vec::new();
-    for (index, (outcome, wall_seconds)) in outcomes.into_iter().enumerate() {
+    for (index, (outcome, _wall)) in outcomes.into_iter().enumerate() {
         match outcome {
-            CellOutcome::Ok { result, .. } => results.push((result, wall_seconds)),
+            CellOutcome::Ok { result, .. } => results.push(result),
             CellOutcome::Failed { attempts, message } => {
                 failures.push(format!("cell {index} ({attempts} attempts): {message}"));
             }
@@ -286,40 +272,24 @@ pub fn cell_metrics<R>(
     reg
 }
 
-/// Runs performance-sweep `cells` in parallel against `lab`, returning
-/// outcomes in input order plus aggregate timing.
-///
-/// Baselines for every distinct profile are computed first (in
-/// parallel); the cells then fan out across cores through
-/// [`run_cells`]. Results are bit-identical to running each cell
-/// serially in order.
+/// Runs performance-sweep `cells` against `lab`, returning outcomes in
+/// input order plus aggregate timing. The lab loads the cells' profiles
+/// and simulates, in parallel, each distinct cell it has not simulated
+/// yet; [`SweepStats`] counts only those. Results are bit-identical to
+/// running each cell serially in order on a fresh lab.
 pub fn run_sweep(lab: &mut PerfLab, cells: &[SweepCell]) -> (Vec<SweepOutcome>, SweepStats) {
     let start = Instant::now();
-
-    let mut profiles: Vec<&'static WorkloadProfile> = cells.iter().map(|c| c.profile).collect();
-    profiles.sort_by_key(|p| p.name);
-    profiles.dedup_by_key(|p| p.name);
-    lab.precompute_baselines(&profiles);
-
-    let shared: &PerfLab = lab;
-    let (timed, mut stats) = run_cells(cells.to_vec(), |cell| {
-        let (slowdown, report) = shared.run_moat_shared(cell.profile, cell.moat, cell.budget);
-        let outcome = SweepOutcome {
+    let (results, mut stats) = lab.sweep(cells);
+    let outcomes = cells
+        .iter()
+        .zip(results)
+        .map(|(&cell, (slowdown, report))| SweepOutcome {
             cell,
             slowdown,
             report,
-            wall_seconds: 0.0, // filled from the harness's measurement below
-        };
-        (outcome, report.total_acts)
-    });
-    let outcomes = timed
-        .into_iter()
-        .map(|(mut outcome, wall_seconds)| {
-            outcome.wall_seconds = wall_seconds;
-            outcome
         })
         .collect();
-    // The sweep's wall clock includes the baseline precompute.
+    // The sweep's wall clock includes loading the streams.
     stats.wall_seconds = start.elapsed().as_secs_f64();
     (outcomes, stats)
 }
@@ -347,9 +317,13 @@ mod tests {
 
         let mut serial_lab = PerfLab::new(scale);
         for (cell, outcome) in cells.iter().zip(&parallel) {
-            let (slowdown, report) = serial_lab.run_moat(cell.profile, cell.moat, cell.budget);
-            assert_eq!(report, outcome.report, "cell {}", cell.profile.name);
-            assert_eq!(slowdown.to_bits(), outcome.slowdown.to_bits());
+            let (serial, _) = run_sweep(&mut serial_lab, &[*cell]);
+            assert_eq!(
+                serial[0].report, outcome.report,
+                "cell {}",
+                cell.profile.name
+            );
+            assert_eq!(serial[0].slowdown.to_bits(), outcome.slowdown.to_bits());
         }
         assert_eq!(
             stats.total_acts,
@@ -360,18 +334,41 @@ mod tests {
     }
 
     #[test]
+    fn lab_simulates_each_distinct_cell_once() {
+        let scale = Scale {
+            banks: 1,
+            windows: 1,
+        };
+        let [a, b, c] = ["x264", "gcc", "tc"].map(|name| {
+            SweepCell::new(
+                WorkloadProfile::by_name(name).unwrap(),
+                MoatConfig::with_ath(64),
+            )
+        });
+        // Each cell alone, on a fresh lab: the reference outcomes.
+        let [ra, rb, rc] = [a, b, c].map(|cell| run_sweep(&mut PerfLab::new(scale), &[cell]).0[0]);
+
+        let mut lab = PerfLab::new(scale);
+        let (first, stats) = run_sweep(&mut lab, &[a, a, b]);
+        let acts = ra.report.total_acts + rb.report.total_acts;
+        assert_eq!(stats.total_acts, acts, "A runs once");
+        let (second, stats) = run_sweep(&mut lab, &[b, c]);
+        assert_eq!(stats.total_acts, rc.report.total_acts, "B is a memo hit");
+        for (outcome, reference) in first.iter().chain(&second).zip([ra, ra, rb, rb, rc]) {
+            assert_eq!(outcome.cell.profile.name, reference.cell.profile.name);
+            assert_eq!(outcome.report, reference.report);
+            assert_eq!(outcome.slowdown.to_bits(), reference.slowdown.to_bits());
+        }
+    }
+
+    #[test]
     fn run_cells_is_deterministic_and_ordered() {
         let cells: Vec<u32> = (0..64).collect();
         let (a, stats) = run_cells(cells.clone(), |c| (c * 7, u64::from(c)));
         let (b, _) = run_cells(cells.clone(), |c| (c * 7, u64::from(c)));
-        let results = |v: &[(u32, f64)]| v.iter().map(|t| t.0).collect::<Vec<_>>();
-        assert_eq!(results(&a), results(&b), "same cells, same results");
-        assert_eq!(results(&a), cells.iter().map(|c| c * 7).collect::<Vec<_>>());
+        assert_eq!(a, b, "same cells, same results");
+        assert_eq!(a, cells.iter().map(|c| c * 7).collect::<Vec<_>>());
         assert_eq!(stats.total_acts, cells.iter().map(|&c| u64::from(c)).sum());
-        // The per-cell walls the harness hands back are the ones
-        // cell_seconds aggregates.
-        let summed: f64 = a.iter().map(|t| t.1).sum();
-        assert!((summed - stats.cell_seconds).abs() < 1e-12);
         assert!(stats.threads >= 1);
     }
 

@@ -15,11 +15,11 @@
 
 use std::sync::{Mutex, MutexGuard};
 
-use moat_bench::{PerfLab, Scale};
+use moat_bench::{run_sweep, PerfLab, Scale, SweepCell};
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan};
-use moat_sim::{round_robin_attacker, Hooks, Scripted, SecurityConfig, SecuritySim, SlotBudget};
+use moat_sim::{round_robin_attacker, Hooks, Scripted, SecurityConfig, SecuritySim};
 use moat_trace::failpoint::{self, IoFaultConfig};
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 use moat_workloads::WorkloadProfile;
@@ -45,20 +45,22 @@ fn tiny_scale() -> Scale {
     }
 }
 
-/// Runs one profile through `lab` and a pure-live reference, asserting
-/// bit-identical slowdown and report.
+/// Sweeps one profile's default cell through `lab` and a pure-live
+/// reference, asserting bit-identical slowdown and report.
 fn assert_matches_live(lab: &mut PerfLab, profile: &'static WorkloadProfile) {
     let mut live = PerfLab::new(tiny_scale());
     live.set_stream_cache_budget(0);
-    live.precompute_baselines(&[profile]);
-    lab.precompute_baselines(&[profile]);
-
-    let moat = MoatConfig::with_ath(64);
-    let budget = SlotBudget::paper_default();
-    let (s_lab, r_lab) = lab.run_moat(profile, moat, budget);
-    let (s_live, r_live) = live.run_moat(profile, moat, budget);
-    assert_eq!(r_lab, r_live, "PerfReport must survive the fallback");
-    assert_eq!(s_lab.to_bits(), s_live.to_bits());
+    let cell = [SweepCell::new(profile, MoatConfig::with_ath(64))];
+    let (from_lab, _) = run_sweep(lab, &cell);
+    let (from_live, _) = run_sweep(&mut live, &cell);
+    assert_eq!(
+        from_lab[0].report, from_live[0].report,
+        "PerfReport must survive the fallback"
+    );
+    assert_eq!(
+        from_lab[0].slowdown.to_bits(),
+        from_live[0].slowdown.to_bits()
+    );
 }
 
 #[test]
@@ -98,7 +100,7 @@ fn replay_time_mmap_failure_falls_back_to_live() {
         let mut recorder = PerfLab::new(tiny_scale());
         recorder.set_stream_cache_budget(1);
         recorder.set_trace_dir(&dir).unwrap();
-        recorder.precompute_baselines(&[profile]);
+        recorder.load(&[profile]);
         assert_eq!(recorder.mapped_streams(), 1, "stream must spill to disk");
     }
 

@@ -7,6 +7,10 @@
 
 /// An exact rational per-REF budget of mitigation slots.
 ///
+/// The fraction is stored in lowest terms, so two budgets that fire the
+/// same slots compare equal: Table 6's one aggressor (five ops) per five
+/// tREFI *is* the paper default of one slot per REF.
+///
 /// # Examples
 ///
 /// ```
@@ -18,7 +22,7 @@
 /// assert_eq!(b.on_ref(), 1);
 /// assert_eq!(b.on_ref(), 0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct SlotBudget {
     num: u32,
     den: u32,
@@ -26,14 +30,23 @@ pub struct SlotBudget {
 }
 
 impl SlotBudget {
-    /// Creates a budget of `num / den` slots per REF.
+    /// Creates a budget of `num / den` slots per REF, reduced to lowest
+    /// terms (which fires the same slots on every REF).
     ///
     /// # Panics
     ///
     /// Panics if `den` is zero.
     pub fn new(num: u32, den: u32) -> Self {
         assert!(den > 0, "denominator must be non-zero");
-        SlotBudget { num, den, acc: 0 }
+        let (mut a, mut b) = (num, den);
+        while b != 0 {
+            (a, b) = (b, a % b);
+        }
+        SlotBudget {
+            num: num / a,
+            den: den / a,
+            acc: 0,
+        }
     }
 
     /// A budget of zero slots (mitigation disabled; "none" row of Table 6).
@@ -78,6 +91,7 @@ impl SlotBudget {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn default_is_one_per_ref() {
@@ -115,5 +129,28 @@ mod tests {
     #[should_panic(expected = "denominator")]
     fn zero_denominator_rejected() {
         let _ = SlotBudget::new(1, 0);
+    }
+
+    #[test]
+    fn equal_rates_are_equal_budgets() {
+        assert_eq!(SlotBudget::per_aggressor(5, 5), SlotBudget::paper_default());
+        assert_eq!(SlotBudget::new(0, 7), SlotBudget::disabled());
+        assert_eq!(SlotBudget::new(10, 6), SlotBudget::per_aggressor(5, 3));
+    }
+
+    proptest! {
+        /// Reducing the fraction never moves a slot: the reduced budget
+        /// fires exactly what an unreduced `num / den` accumulator does.
+        #[test]
+        fn reduced_budget_fires_like_the_unreduced_fraction(num in 0u32..64, den in 1u32..64) {
+            let mut reduced = SlotBudget::new(num, den);
+            let mut acc = 0u32;
+            for _ in 0..200 {
+                acc += num;
+                let slots = acc / den;
+                acc %= den;
+                prop_assert_eq!(reduced.on_ref(), slots);
+            }
+        }
     }
 }

@@ -4,10 +4,10 @@
 //! full checksum pass over a multi-gigabyte cache entry on *every* open
 //! is wasted work when the same process (or a previous run) already
 //! verified the identical bytes: a `--full` `repro all` opens each trace
-//! once per experiment. [`TraceFile::open`] therefore keeps a
-//! *verified-once marker*, a tiny `<file>.ok` sidecar recording the
-//! trace's size, mtime, and header checksum at the moment a full
-//! verification succeeded. While the metadata still matches, later opens
+//! once per run, and every later run opens it again. [`TraceFile::open`]
+//! therefore keeps a *verified-once marker*, a tiny `<file>.ok` sidecar
+//! recording the trace's size, mtime, and header checksum at the moment
+//! a full verification succeeded. While the metadata still matches, later opens
 //! skip the re-walk; any mismatch (or a missing/garbled marker) falls
 //! back to the full pass and rewrites the marker.
 //!
