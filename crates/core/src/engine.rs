@@ -438,17 +438,17 @@ impl MitigationEngine for MoatEngine {
                 // are not yet refreshed). Pre-reset counts are preserved,
                 // shadow-aware in case a trailing row was already shadowed.
                 let slots = self.config.shadow_slots.min(rows.len() as u32);
-                let old = &self.shadows;
                 self.next_shadows.clear();
-                self.next_shadows.extend((0..slots).map(|i| {
+                for i in 0..slots {
                     let row = RowId::new(rows.end - 1 - i);
                     let in_array = counter_of(row);
-                    let count = old
+                    let count = self
+                        .shadows
                         .iter()
                         .find(|s| s.row == row)
                         .map_or(in_array.get(), |s| s.count);
-                    ShadowCounter { row, count }
-                }));
+                    self.next_shadows.push(ShadowCounter { row, count });
+                }
                 core::mem::swap(&mut self.shadows, &mut self.next_shadows);
             }
         }

@@ -137,24 +137,12 @@ impl Bank {
     }
 
     /// Resets the PRAC counters of every row in `rows` (refresh-time reset).
-    pub fn reset_counters_in(&mut self, rows: Range<u32>) {
-        for r in rows {
-            self.counters[r as usize] = 0;
-        }
-    }
-
-    /// The dense row range covered by refresh group `group`.
     ///
     /// # Panics
     ///
-    /// Panics if `group` is outside `0..refresh_groups()`.
-    pub fn group_rows(&self, group: u32) -> Range<u32> {
-        assert!(
-            group < self.config.refresh_groups(),
-            "group {group} out of range"
-        );
-        let per = self.config.rows_per_refresh_group;
-        (group * per)..((group + 1) * per)
+    /// Panics if `rows` reaches past the bank.
+    pub fn reset_counters_in(&mut self, rows: Range<u32>) {
+        self.counters[rows.start as usize..rows.end as usize].fill(0);
     }
 
     /// Total number of activations performed on this bank.
@@ -222,20 +210,6 @@ mod tests {
         b.occupy_until(Nanos::new(1000));
         assert!(b.activate(RowId::new(0), Nanos::new(999)).is_err());
         assert!(b.activate(RowId::new(0), Nanos::new(1000)).is_ok());
-    }
-
-    #[test]
-    fn group_rows_partition_bank() {
-        let b = Bank::new(&small());
-        // 64 rows / 8 per group = 8 groups.
-        let mut seen = [false; 64];
-        for g in 0..8 {
-            for r in b.group_rows(g) {
-                assert!(!seen[r as usize]);
-                seen[r as usize] = true;
-            }
-        }
-        assert!(seen.iter().all(|&s| s));
     }
 
     #[test]

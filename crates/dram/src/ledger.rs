@@ -152,13 +152,13 @@ impl SecurityLedger {
     /// *upper* victims (its lower victims were refreshed just before), i.e.
     /// when row `r + blast_radius` is refreshed.
     pub fn on_refresh_rows(&mut self, rows: Range<u32>) {
-        for r in rows.clone() {
-            self.cells[r as usize].pressure = 0;
+        for c in &mut self.cells[rows.start as usize..rows.end as usize] {
+            c.pressure = 0;
         }
-        let lo = rows.start.saturating_sub(self.blast_radius);
-        let hi = rows.end.saturating_sub(self.blast_radius);
-        for r in lo..hi {
-            self.cells[r as usize].epoch = 0;
+        let lo = rows.start.saturating_sub(self.blast_radius) as usize;
+        let hi = rows.end.saturating_sub(self.blast_radius) as usize;
+        for c in &mut self.cells[lo..hi] {
+            c.epoch = 0;
         }
     }
 

@@ -126,7 +126,10 @@ impl RefreshEngine {
     pub fn perform(&mut self, _now: Nanos) -> RefreshedGroup {
         let group = self.next_group();
         let rows = (group * self.rows_per_group)..((group + 1) * self.rows_per_group);
-        self.sweep_pos = (self.sweep_pos + 1) % self.groups;
+        self.sweep_pos += 1;
+        if self.sweep_pos == self.groups {
+            self.sweep_pos = 0;
+        }
         self.refs_done += 1;
         if self.postponed > 0 {
             self.postponed -= 1;
@@ -172,6 +175,40 @@ mod tests {
             assert_eq!(g.rows.start, (i % 8) * 8);
         }
         assert_eq!(e.refs_done(), 16);
+    }
+
+    #[test]
+    fn next_group_names_the_next_refresh_and_each_sweep_partitions_the_bank() {
+        // The bank unit prefetches `next_group()`'s rows one REF ahead,
+        // so it must name what the next `perform` refreshes, in both
+        // orders and across the sweep's wrap.
+        for order in [RefreshOrder::Contiguous, RefreshOrder::Strided(3)] {
+            let cfg = DramConfig::builder()
+                .rows_per_bank(64)
+                .refresh_order(order)
+                .build();
+            let per = cfg.rows_per_refresh_group;
+            let mut e = RefreshEngine::new(&cfg);
+            let mut now = Nanos::ZERO;
+            for sweep in 0..3 {
+                let mut refreshed = [false; 64];
+                for _ in 0..cfg.refresh_groups() {
+                    now += cfg.timing.t_refi;
+                    let next = e.next_group();
+                    let g = e.perform(now);
+                    assert_eq!(g.group, next, "{order:?}, sweep {sweep}");
+                    assert_eq!(g.rows, next * per..(next + 1) * per);
+                    for r in g.rows {
+                        assert!(!refreshed[r as usize], "{order:?}: row {r} twice");
+                        refreshed[r as usize] = true;
+                    }
+                }
+                assert!(
+                    refreshed.iter().all(|&r| r),
+                    "{order:?}: sweep {sweep} covers every row"
+                );
+            }
+        }
     }
 
     #[test]

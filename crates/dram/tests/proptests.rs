@@ -81,6 +81,97 @@ proptest! {
         );
     }
 
+    /// The REF-time resets match a naive model, mixed with activations:
+    /// `on_refresh_rows(group)` zeroes the group's pressure and the epoch
+    /// of every row whose upper victims the group covers (`row +
+    /// blast_radius` refreshed); `on_victim_refresh(row)` zeroes the
+    /// row's victims' pressure and its own epoch.
+    #[test]
+    fn ledger_refresh_resets_match_naive_model(
+        ops in prop::collection::vec((0u8..4, 0u32..256), 1..400)
+    ) {
+        let cfg = small_config();
+        let (per, radius) = (cfg.rows_per_refresh_group, cfg.blast_radius);
+        let mut ledger = SecurityLedger::new(&cfg);
+        let mut pressure = vec![0u32; 256];
+        let mut epoch = vec![0u32; 256];
+        let (mut max_pressure, mut max_epoch) = (0u32, 0u32);
+        let victims = |row: u32| {
+            (row.saturating_sub(radius)..=(row + radius).min(255)).filter(move |&v| v != row)
+        };
+        for (op, row) in ops {
+            match op {
+                0 | 1 => {
+                    ledger.on_activate(RowId::new(row));
+                    for v in victims(row) {
+                        pressure[v as usize] += 1;
+                        max_pressure = max_pressure.max(pressure[v as usize]);
+                    }
+                    epoch[row as usize] += 1;
+                    max_epoch = max_epoch.max(epoch[row as usize]);
+                }
+                2 => {
+                    let group = row / per;
+                    let rows = group * per..(group + 1) * per;
+                    ledger.on_refresh_rows(rows.clone());
+                    for r in 0..256u32 {
+                        if rows.contains(&r) {
+                            pressure[r as usize] = 0;
+                        }
+                        if rows.contains(&(r + radius)) {
+                            epoch[r as usize] = 0;
+                        }
+                    }
+                }
+                _ => {
+                    ledger.on_victim_refresh(RowId::new(row));
+                    for v in victims(row) {
+                        pressure[v as usize] = 0;
+                    }
+                    epoch[row as usize] = 0;
+                }
+            }
+        }
+        for r in 0..256u32 {
+            prop_assert_eq!(ledger.pressure(RowId::new(r)), pressure[r as usize], "row {}", r);
+            prop_assert_eq!(ledger.epoch(RowId::new(r)), epoch[r as usize], "row {}", r);
+        }
+        prop_assert_eq!(
+            ledger.current_max_pressure(),
+            pressure.iter().copied().max().unwrap()
+        );
+        prop_assert_eq!(ledger.max_pressure_ever(), max_pressure);
+        prop_assert_eq!(ledger.max_epoch_ever(), max_epoch);
+    }
+
+    /// `Bank::reset_counters_in` zeroes exactly the PRAC counters of its
+    /// range (empty ranges and ranges ending at the last row included).
+    #[test]
+    fn bank_range_reset_matches_naive_model(
+        ops in prop::collection::vec((prop::bool::ANY, 0u32..256, 0u32..20), 1..400)
+    ) {
+        let cfg = small_config();
+        let mut bank = Bank::new(&cfg);
+        let mut truth = vec![0u32; 256];
+        let mut now = Nanos::ZERO;
+        for (is_reset, row, len) in ops {
+            if is_reset {
+                let rows = row..(row + len).min(256);
+                bank.reset_counters_in(rows.clone());
+                for r in rows {
+                    truth[r as usize] = 0;
+                }
+            } else {
+                bank.activate(RowId::new(row), now).unwrap();
+                truth[row as usize] += 1;
+                now += cfg.timing.t_rc;
+            }
+        }
+        for r in 0..256u32 {
+            prop_assert_eq!(bank.counter(RowId::new(r)).get(), truth[r as usize], "row {}", r);
+        }
+    }
+
     /// The address mapping is a bijection on its address space.
     #[test]
     fn mapping_roundtrips(addr in 0u64..(1 << 35)) {

@@ -547,14 +547,15 @@ impl<E: MitigationEngine> PerfSim<E> {
     }
 
     fn do_ref(&mut self, start: Nanos) {
+        // One pass over the units: a REF never reads a bank's ready
+        // time, so occupying each bank right after its own REF equals
+        // occupying every bank after all REFs.
+        let end = start + self.config.dram.timing.t_rfc;
         for u in &mut self.units {
             track_alert(u, &mut self.pending_alerts, |u| u.perform_ref(start));
-        }
-        let end = start + self.config.dram.timing.t_rfc;
-        self.stall_until = self.stall_until.max(end);
-        for u in &mut self.units {
             u.bank_mut().occupy_until(end);
         }
+        self.stall_until = self.stall_until.max(end);
     }
 
     fn do_rfms(&mut self, stall_at: Nanos) {
@@ -629,6 +630,7 @@ impl<E: MitigationEngine> PerfSim<E> {
 mod tests {
     use super::*;
     use moat_core::{MoatConfig, MoatEngine};
+    use moat_dram::RefreshOrder;
 
     fn small_cfg(banks: u16, alerts: bool) -> PerfConfig {
         let dram = DramConfig::builder().rows_per_bank(4096).build();
@@ -823,6 +825,68 @@ mod tests {
                 "chunk {chunk}"
             );
             assert_eq!(got, expect, "chunk {chunk}");
+        }
+    }
+
+    /// A REF-heavy 32-bank stream on 2048-row banks (256 refresh groups),
+    /// long enough to wrap the refresh sweep more than three times. Each
+    /// bank spends 96 of every 256 of its requests on one hot row, the
+    /// trailing row (`row % 8` of 6 or 7) of a group that changes every
+    /// phase: the row crosses ETH and ATH, so REF-time mitigations,
+    /// ALERTs and RFMs all run, and phases that straddle their group's
+    /// REF carry the row's count in a §4.3 shadow.
+    fn ref_heavy_stream() -> impl Iterator<Item = Request> {
+        (0..320_000u32).map(|i| {
+            let (bank, k) = (i % 32, i / 32);
+            let phase = k / 256;
+            let row = if k % 256 < 96 {
+                8 * ((phase * 21 + bank * 37) % 256) + 6 + phase % 2
+            } else {
+                (k * 97 + bank * 13) % 2048
+            };
+            Request {
+                gap: Nanos::new(10),
+                bank: BankId::new(bank as u16),
+                row: RowId::new(row),
+            }
+        })
+    }
+
+    #[test]
+    fn ref_heavy_32_bank_reports_are_pinned() {
+        // Pinned values: every REF runs on all 32 units, so a change to
+        // the per-bank REF work (snapshot, resets, slots, prefetch) that
+        // moves any bit moves these reports. Both orders, because the
+        // strided sweep visits the groups out of row order.
+        for (order, proactive, per_trefw) in [
+            (RefreshOrder::Contiguous, 1249, 694.987_185_738_874_1),
+            (RefreshOrder::Strided(77), 1248, 694.708_856_869_935_9),
+        ] {
+            let dram = DramConfig::builder()
+                .rows_per_bank(2048)
+                .refresh_order(order)
+                .build();
+            let cfg = PerfConfig {
+                dram,
+                ..PerfConfig::paper_default()
+            };
+            let mut sim = PerfSim::new(cfg, || MoatEngine::new(MoatConfig::paper_default()));
+            let got = sim.run(ref_heavy_stream());
+            assert!(got.refs > 3 * u64::from(dram.refresh_groups()));
+            let expect = PerfReport {
+                completion_time: Nanos::new(3_592_872),
+                total_acts: 320_000,
+                alerts: 39,
+                rfms: 39,
+                refs: 921,
+                proactive_mitigations: proactive,
+                reactive_mitigations: 1248,
+                alerts_per_trefi: 0.042_333_820_965_511_71,
+                mitigations_per_bank_per_trefw: per_trefw,
+                max_pressure: 70,
+                max_epoch: 68,
+            };
+            assert_eq!(got, expect, "{order:?}");
         }
     }
 

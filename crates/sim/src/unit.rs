@@ -236,8 +236,9 @@ impl<E: MitigationEngine> BankUnit<E> {
     /// [`activate`](Self::activate) of `row` will touch — the PRAC
     /// counter and the ledger's victim/epoch cells. The batched issue
     /// pipeline calls this a few requests ahead so the (otherwise
-    /// serialized) cache misses of consecutive activations overlap.
-    /// Purely a hint: no simulation state changes.
+    /// serialized) cache misses of consecutive activations overlap, and
+    /// [`perform_ref`](Self::perform_ref) calls it for the next REF's
+    /// group. Purely a hint: no simulation state changes.
     #[inline]
     pub fn prefetch_activate(&self, row: RowId) {
         self.bank.prefetch_counter(row);
@@ -246,7 +247,10 @@ impl<E: MitigationEngine> BankUnit<E> {
 
     /// Performs one REF at `now`: refreshes the due group, runs the
     /// engine's refresh hook and counter resets, and spends the REF-time
-    /// mitigation budget.
+    /// mitigation budget. It ends by prefetching the group the next REF
+    /// refreshes, so that REF finds its counter and ledger lines in
+    /// cache; otherwise they are cold, as the sweep passed them a whole
+    /// tREFW earlier.
     pub fn perform_ref(&mut self, now: Nanos) {
         let group = self.refresh.perform(now);
         // Engine snapshot hook runs before any counter reset (§4.3).
@@ -275,6 +279,15 @@ impl<E: MitigationEngine> BankUnit<E> {
                 }
             }
         }
+
+        // With the paper's 8-row groups, two hints at the next group's
+        // first and last rows reach its counters and every ledger cell
+        // its REF resets: pressure in the group, epochs from
+        // `blast_radius` rows below it.
+        let per = self.config.rows_per_refresh_group;
+        let first = self.refresh.next_group() * per;
+        self.prefetch_activate(RowId::new(first));
+        self.prefetch_activate(RowId::new(first + per - 1));
     }
 
     /// One RFM opportunity during an ALERT: the engine picks a row and it
