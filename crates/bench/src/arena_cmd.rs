@@ -6,8 +6,7 @@
 //! hammer pressure any victim absorbed), ALERT rate, slowdown versus
 //! an ALERT-free baseline, and the engine's SRAM cost. The engine list
 //! comes from `--engines` (a comma-separated subset of registry
-//! names), from [`registry::ENV_ENGINES`] when the flag is absent, and
-//! defaults to the whole zoo.
+//! names) and defaults to the whole zoo.
 //!
 //! The rendered table is a determinism artifact: cells are independent
 //! seeded simulations, results are assembled in input order, and every
@@ -211,9 +210,8 @@ struct ArenaArgs {
 }
 
 /// Parses the arena flags, resolving the engine selection eagerly:
-/// `--engines` wins, then [`registry::ENV_ENGINES`], then the whole
-/// registry. A malformed selection from either source is an error
-/// *here*, before any cell runs.
+/// `--engines`, else the whole registry. A malformed selection is an
+/// error *here*, before any cell runs.
 fn parse_args(args: &[String]) -> Result<ArenaArgs, String> {
     let mut engines: Option<Vec<&'static EngineSpec>> = None;
     let mut threads = rayon::current_num_threads();
@@ -246,14 +244,8 @@ fn parse_args(args: &[String]) -> Result<ArenaArgs, String> {
             }
         }
     }
-    let selection = match engines {
-        Some(sel) => sel,
-        None => {
-            registry::selection_from_env()?.unwrap_or_else(|| registry::ENGINES.iter().collect())
-        }
-    };
     Ok(ArenaArgs {
-        selection,
+        selection: engines.unwrap_or_else(|| registry::ENGINES.iter().collect()),
         threads,
         resume,
     })
@@ -414,8 +406,7 @@ pub(crate) fn run_arena(
 /// # Errors
 ///
 /// Returns a usage/parse error message — including a malformed
-/// `--engines` list or [`registry::ENV_ENGINES`] value — before any
-/// cell has run.
+/// `--engines` list — before any cell has run.
 pub fn run_arena_command(args: &[String]) -> Result<String, String> {
     let (rest, telemetry_flag) = take_telemetry_flag(args);
     let tel = effective_config(telemetry_flag)?;

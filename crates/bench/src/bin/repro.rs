@@ -26,10 +26,9 @@
 //!                               a perf workload, one comparison table
 //!                               (escaped ACTs, ALERT rate, slowdown,
 //!                               SRAM). Selection defaults to the whole
-//!                               registry; MOAT_ARENA_ENGINES overrides
-//!                               it when --engines is absent. The table
-//!                               is bit-identical across thread counts
-//!                               and --resume splits
+//!                               registry. The table is bit-identical
+//!                               across thread counts and --resume
+//!                               splits
 //!   repro fleet [--shards N] [--tenants M] [--acts N] [--threads T] [--resume]
 //!                               fleet-scale sharded serving under the
 //!                               self-healing shard supervisor; set
@@ -64,6 +63,11 @@
 //!                               thread-count rule are defined in
 //!                               `crates/bench/src/perfbench.rs`)
 //!
+//! `repro` reads six environment variables, MOAT_FAULTS,
+//! MOAT_FLEET_FAULTS, MOAT_RECOVERY, MOAT_TRACE_DIR, MOAT_TELEMETRY and
+//! MOAT_LOG, and validates them before any work starts: a malformed
+//! value, or any other `MOAT_*` variable, exits 2.
+//!
 //! The performance tables share one lab per run, which runs each
 //! distinct (profile × config) cell once, across all cores; `--full`
 //! selects the paper-size configuration (32 banks, 2 tREFW windows). At
@@ -79,7 +83,13 @@ use moat_bench::{
     run_faults_command, run_fleet_command, run_recover_command, run_trace_command, Checkpoint,
     PerfLab, Scale, ALL_EXPERIMENTS,
 };
-use moat_telemetry::{log, MetricsRegistry, TelemetryLevel};
+use moat_dram::env;
+use moat_faults::FaultPlan;
+use moat_fleet::FleetFaultPlan;
+use moat_guard::RecoveryPlan;
+use moat_telemetry::log::LogLevel;
+use moat_telemetry::{log, MetricsRegistry, TelemetryConfig, TelemetryLevel};
+use moat_trace::TraceCache;
 
 /// Allowed fractional drop of any gated metric (the fields
 /// `crates/bench/src/perfbench.rs` records with a gate) before the
@@ -103,27 +113,34 @@ fn write_atomic(path: &str, contents: &str) -> std::io::Result<()> {
     publish
 }
 
-/// Validates every environment variable the harness consumes, before
-/// any work starts: a malformed `MOAT_FAULTS`, `MOAT_FLEET_FAULTS`,
-/// `MOAT_RECOVERY`, `MOAT_IO_FAULTS`, `MOAT_TRACE_DIR`,
-/// `MOAT_ARENA_ENGINES`, `MOAT_TELEMETRY`, or `MOAT_LOG` fails the
-/// invocation with a clear
-/// message instead of being silently ignored (which would run an
-/// *unfaulted* experiment while the operator believes chaos is armed,
-/// or an *unobserved* one while they believe telemetry is recording)
-/// or panicking deep inside a sweep.
+/// Every environment variable `repro` reads, with the error of its
+/// value when that is malformed.
+fn env_vars() -> [(&'static str, Option<String>); 6] {
+    [
+        (FaultPlan::ENV_VAR, FaultPlan::from_env().err()),
+        (FleetFaultPlan::ENV_VAR, FleetFaultPlan::from_env().err()),
+        (RecoveryPlan::ENV_VAR, RecoveryPlan::from_env().err()),
+        (TraceCache::ENV_VAR, TraceCache::env_dir().err()),
+        (TelemetryConfig::ENV_VAR, TelemetryConfig::from_env().err()),
+        (LogLevel::ENV_VAR, LogLevel::from_env().err()),
+    ]
+}
+
+/// Validates the environment before any work starts: a `MOAT_*`
+/// variable that is not in [`env_vars`], or a malformed value of one
+/// that is, fails the invocation with exit 2 and a clear message instead
+/// of being silently ignored (which would run an *unfaulted* experiment
+/// while the operator believes chaos is armed, or an *unobserved* one
+/// while they believe telemetry is recording) or panicking deep inside a
+/// sweep.
 fn validate_env() {
-    let results = [
-        moat_faults::FaultPlan::from_env().map(|_| ()),
-        moat_fleet::FleetFaultPlan::from_env().map(|_| ()),
-        moat_guard::RecoveryPlan::from_env().map(|_| ()),
-        moat_trace::failpoint::IoFaultConfig::from_env().map(|_| ()),
-        moat_trace::TraceCache::env_dir().map(|_| ()),
-        moat_trackers::registry::selection_from_env().map(|_| ()),
-        moat_telemetry::TelemetryConfig::from_env().map(|_| ()),
-        moat_telemetry::log::LogLevel::from_env().map(|_| ()),
-    ];
-    let errors: Vec<String> = results.into_iter().filter_map(Result::err).collect();
+    let vars = env_vars();
+    let names: Vec<&str> = vars.iter().map(|(name, _)| *name).collect();
+    let unknown = env::unknown("MOAT_", &names)
+        .into_iter()
+        .map(|name| format!("{name} is set, but repro reads only {}", names.join(", ")));
+    let malformed = vars.into_iter().filter_map(|(_, error)| error);
+    let errors: Vec<String> = unknown.chain(malformed).collect();
     if !errors.is_empty() {
         for e in &errors {
             eprintln!("repro: {e}");

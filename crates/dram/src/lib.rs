@@ -36,6 +36,7 @@
 mod abo;
 mod bank;
 mod config;
+pub mod env;
 mod error;
 mod hint;
 mod ledger;

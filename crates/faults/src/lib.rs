@@ -32,7 +32,7 @@
 
 use std::fmt;
 
-use moat_dram::{EngineFault, MitigationEngine, Nanos};
+use moat_dram::{env, EngineFault, MitigationEngine, Nanos};
 use moat_sim::FaultHook;
 
 /// A tiny deterministic PRNG (SplitMix64): one `u64` of state, full
@@ -150,59 +150,52 @@ impl FaultPlan {
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::none(0);
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("fault spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
-            match key.as_str() {
-                "seed" => {
-                    plan.seed = value
-                        .parse()
-                        .map_err(|e| format!("fault seed `{value}`: {e}"))?;
-                }
-                "seu" | "drop_rfm" | "lose_alert" | "stuck" => {
-                    let rate: f64 = value
-                        .parse()
-                        .map_err(|e| format!("fault rate `{key}={value}`: {e}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fault rate `{key}={value}` outside [0, 1]"));
-                    }
-                    match key.as_str() {
-                        "seu" => plan.seu_rate = rate,
-                        "drop_rfm" => plan.drop_rfm_rate = rate,
-                        "lose_alert" => plan.lose_alert_rate = rate,
-                        _ => plan.stuck_rate = rate,
-                    }
-                }
-                _ => return Err(format!("unknown fault spec key `{key}`")),
-            }
+        for pair in env::pairs(spec, "fault spec") {
+            let (key, value) = pair?;
+            plan.set(&key, value)?;
         }
         Ok(plan)
     }
 
-    /// The plan armed via the [`MOAT_FAULTS`](Self::ENV_VAR) environment
-    /// variable: `None` when unset or empty.
+    /// Applies one pair of the [`parse`](Self::parse) grammar, its key
+    /// as [`env::pairs`] yields it (`drop_rfm`, not `drop-rfm`).
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value.
-    pub fn from_env() -> Result<Option<FaultPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            // Previously swallowed by a catch-all arm: a non-Unicode
-            // value now surfaces instead of silently disarming the plan.
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
+    /// Describes an unknown key, a malformed value, or a rate outside
+    /// `[0, 1]`.
+    pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
+        let rate = match key {
+            "seed" => {
+                self.seed = value
+                    .parse()
+                    .map_err(|e| format!("fault seed `{value}`: {e}"))?;
+                return Ok(());
             }
+            "seu" => &mut self.seu_rate,
+            "drop_rfm" => &mut self.drop_rfm_rate,
+            "lose_alert" => &mut self.lose_alert_rate,
+            "stuck" => &mut self.stuck_rate,
+            _ => return Err(format!("unknown fault spec key `{key}`")),
+        };
+        let parsed: f64 = value
+            .parse()
+            .map_err(|e| format!("fault rate `{key}={value}`: {e}"))?;
+        if !(0.0..=1.0).contains(&parsed) {
+            return Err(format!("fault rate `{key}={value}` outside [0, 1]"));
         }
+        *rate = parsed;
+        Ok(())
+    }
+
+    /// The plan armed via the [`MOAT_FAULTS`](Self::ENV_VAR) environment
+    /// variable: `None` when unset or blank.
+    ///
+    /// # Errors
+    ///
+    /// The [`env::parsed`] errors of a non-Unicode or malformed value.
+    pub fn from_env() -> Result<Option<FaultPlan>, String> {
+        env::parsed(Self::ENV_VAR, Self::parse)
     }
 }
 

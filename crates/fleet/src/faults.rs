@@ -15,6 +15,7 @@
 //! plus any token the base [`FaultPlan`] grammar accepts, e.g.
 //! `seed=7,crash=0.05,stall=0.01,seu=1e-6`.
 
+use moat_dram::env;
 use moat_faults::{FaultPlan, SplitMix64};
 use std::fmt;
 
@@ -63,64 +64,46 @@ impl FleetFaultPlan {
     }
 
     /// Parses a spec: fleet keys (`crash`, `stall`, `slow`, `poison`)
-    /// are consumed here, every other token is delegated to
-    /// [`FaultPlan::parse`] so the engine-level grammar (seed, seu,
-    /// drop-rfm, lose-alert, stuck) keeps working verbatim.
+    /// are consumed here, every other pair goes to [`FaultPlan::set`]
+    /// so the engine-level grammar (seed, seu, drop-rfm, lose-alert,
+    /// stuck) keeps working verbatim.
     ///
     /// # Errors
     ///
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<FleetFaultPlan, String> {
         let mut plan = FleetFaultPlan::none(0);
-        let mut base_tokens: Vec<&str> = Vec::new();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = token.split_once('=') else {
-                return Err(format!("fleet fault token `{token}` is not key=value"));
-            };
-            let key = key.trim().replace('-', "_");
-            match key.as_str() {
-                "crash" | "stall" | "slow" | "poison" => {
-                    let rate: f64 = value
-                        .trim()
-                        .parse()
-                        .map_err(|e| format!("fleet fault rate `{token}`: {e}"))?;
-                    if !(0.0..=1.0).contains(&rate) {
-                        return Err(format!("fleet fault rate `{token}` outside [0, 1]"));
-                    }
-                    match key.as_str() {
-                        "crash" => plan.crash_rate = rate,
-                        "stall" => plan.stall_rate = rate,
-                        "slow" => plan.slow_rate = rate,
-                        _ => plan.poison_rate = rate,
-                    }
+        for pair in env::pairs(spec, "fleet fault") {
+            let (key, value) = pair?;
+            let rate = match key.as_str() {
+                "crash" => &mut plan.crash_rate,
+                "stall" => &mut plan.stall_rate,
+                "slow" => &mut plan.slow_rate,
+                "poison" => &mut plan.poison_rate,
+                _ => {
+                    plan.base.set(&key, value)?;
+                    continue;
                 }
-                _ => base_tokens.push(token),
+            };
+            let parsed: f64 = value
+                .parse()
+                .map_err(|e| format!("fleet fault rate `{key}={value}`: {e}"))?;
+            if !(0.0..=1.0).contains(&parsed) {
+                return Err(format!("fleet fault rate `{key}={value}` outside [0, 1]"));
             }
+            *rate = parsed;
         }
-        plan.base = FaultPlan::parse(&base_tokens.join(","))?;
         Ok(plan)
     }
 
     /// The plan armed via [`ENV_VAR`](Self::ENV_VAR): `None` when unset
-    /// or empty.
+    /// or blank.
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors, and rejects a value
-    /// that is not valid Unicode instead of silently ignoring it.
+    /// The [`env::parsed`] errors of a non-Unicode or malformed value.
     pub fn from_env() -> Result<Option<FleetFaultPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if !spec.trim().is_empty() => Self::parse(&spec).map(Some),
-            Ok(_) => Ok(None),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        env::parsed(Self::ENV_VAR, Self::parse)
     }
 
     /// Whether any fleet-level rate is non-zero.

@@ -125,6 +125,7 @@ impl ShardReport {
             fields.insert(k, v);
         }
         let int = |k: &str| fields.get(k)?.parse::<u64>().ok();
+        let narrow = |k: &str| u32::try_from(int(k)?).ok();
         let bits = |k: &str| {
             u64::from_str_radix(fields.get(k)?, 16)
                 .map(f64::from_bits)
@@ -138,8 +139,8 @@ impl ShardReport {
                 .collect::<Option<Vec<u32>>>()?,
         };
         Some(ShardReport {
-            shard_index: int("shard")? as u32,
-            tenants: int("tenants")? as u32,
+            shard_index: narrow("shard")?,
+            tenants: narrow("tenants")?,
             poisoned,
             perf_acts: int("perf_acts")?,
             alerts: int("alerts")?,
@@ -147,7 +148,7 @@ impl ShardReport {
             slowdown: bits("slowdown")?,
             security_acts: int("security_acts")?,
             security_alerts: int("security_alerts")?,
-            max_pressure: int("max_pressure")? as u32,
+            max_pressure: narrow("max_pressure")?,
             unsound_horizons: int("unsound")?,
             escaped_acts: int("escaped")?,
             integrity_detected: int("idet")?,
@@ -441,6 +442,28 @@ mod tests {
             None,
             "missing fields"
         );
+    }
+
+    #[test]
+    fn record_rejects_fields_wider_than_u32() {
+        let config = tiny_config();
+        let record =
+            run_shard(&config, config.topology.shard(0), &ShardFault::none(), 1).to_record();
+        assert!(ShardReport::parse(&record).is_some());
+        // 2^32 would truncate to 0: a corrupt `shard=` would replay as
+        // shard 0's result instead of falling back to a live run.
+        for key in ["shard", "tenants", "max_pressure"] {
+            let corrupt: Vec<String> = record
+                .split(' ')
+                .map(|token| match token.split_once('=') {
+                    Some((k, _)) if k == key => format!("{k}=4294967296"),
+                    _ => token.to_string(),
+                })
+                .collect();
+            let corrupt = corrupt.join(" ");
+            assert_ne!(corrupt, record, "{key} is in the record");
+            assert_eq!(ShardReport::parse(&corrupt), None, "{key}=2^32");
+        }
     }
 
     #[test]

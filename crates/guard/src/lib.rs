@@ -36,7 +36,7 @@
 
 use std::fmt;
 
-use moat_dram::{MitigationEngine, Nanos};
+use moat_dram::{env, MitigationEngine, Nanos};
 use moat_sim::{BankUnit, GuardHook};
 
 /// A recovery policy: how often to scrub, and whether detection triggers
@@ -97,16 +97,8 @@ impl RecoveryPlan {
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<RecoveryPlan, String> {
         let mut plan = RecoveryPlan::detect_only();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("recovery spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
+        for pair in env::pairs(spec, "recovery spec") {
+            let (key, value) = pair?;
             match key.as_str() {
                 "scrub" => {
                     plan.scrub_interval_ns = value
@@ -127,20 +119,13 @@ impl RecoveryPlan {
     }
 
     /// The plan armed via the [`MOAT_RECOVERY`](Self::ENV_VAR)
-    /// environment variable: `None` when unset or empty.
+    /// environment variable: `None` when unset or blank.
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value.
+    /// The [`env::parsed`] errors of a non-Unicode or malformed value.
     pub fn from_env() -> Result<Option<RecoveryPlan>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        env::parsed(Self::ENV_VAR, Self::parse)
     }
 }
 

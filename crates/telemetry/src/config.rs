@@ -4,6 +4,8 @@
 
 use std::fmt;
 
+use moat_dram::env;
+
 /// How much the armed tracer records.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TelemetryLevel {
@@ -99,16 +101,8 @@ impl TelemetryConfig {
     /// Returns a description of the offending token.
     pub fn parse(spec: &str) -> Result<TelemetryConfig, String> {
         let mut config = TelemetryConfig::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("telemetry spec token `{token}` is not key=value"))?;
-            let key = key.trim().replace('-', "_");
-            let value = value.trim();
+        for pair in env::pairs(spec, "telemetry spec") {
+            let (key, value) = pair?;
             match key.as_str() {
                 "level" => {
                     config.level = match value {
@@ -137,21 +131,13 @@ impl TelemetryConfig {
     }
 
     /// The config armed via the [`MOAT_TELEMETRY`](Self::ENV_VAR)
-    /// environment variable: `None` when unset or empty.
+    /// environment variable: `None` when unset or blank.
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value; a
-    /// non-Unicode value surfaces instead of silently disarming.
+    /// The [`env::parsed`] errors of a non-Unicode or malformed value.
     pub fn from_env() -> Result<Option<TelemetryConfig>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        env::parsed(Self::ENV_VAR, Self::parse)
     }
 }
 

@@ -12,6 +12,8 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU8, Ordering};
 
+use moat_dram::env;
+
 /// A log severity, ordered `Error < Warn < Info` by verbosity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum LogLevel {
@@ -52,21 +54,13 @@ impl LogLevel {
     }
 
     /// The level set via the [`MOAT_LOG`](Self::ENV_VAR) environment
-    /// variable: `None` when unset or empty.
+    /// variable: `None` when unset or blank.
     ///
     /// # Errors
     ///
-    /// Propagates [`parse`](Self::parse) errors on a malformed value; a
-    /// non-Unicode value surfaces instead of silently defaulting.
+    /// The [`env::parsed`] errors of a non-Unicode or malformed value.
     pub fn from_env() -> Result<Option<LogLevel>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
-        }
+        env::parsed(Self::ENV_VAR, Self::parse)
     }
 }
 

@@ -20,6 +20,7 @@ use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use moat_dram::env;
 use moat_sim::RequestStream;
 
 use crate::format::record_stream;
@@ -107,16 +108,12 @@ impl TraceCache {
     ///
     /// Describes the malformed value.
     pub fn env_dir() -> Result<Option<PathBuf>, String> {
-        match std::env::var(Self::ENV_VAR) {
-            Ok(dir) if dir.trim().is_empty() => Err(format!(
+        match env::var(Self::ENV_VAR)? {
+            Some(dir) if dir.trim().is_empty() => Err(format!(
                 "{} is set but empty (unset it to use the default directory)",
                 Self::ENV_VAR
             )),
-            Ok(dir) => Ok(Some(PathBuf::from(dir))),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{} is set but not valid Unicode", Self::ENV_VAR))
-            }
+            dir => Ok(dir.map(PathBuf::from)),
         }
     }
 

@@ -9,11 +9,9 @@
 //! after a configured number of successes.
 //!
 //! Disarmed (the default), every check is a single relaxed atomic load —
-//! recording and replay pay nothing. Arm programmatically with
-//! [`arm`]/[`disarm`] (tests), or via the [`ENV_VAR`] environment
-//! variable (`MOAT_IO_FAULTS=write=0,mmap=2,read=0`: writes fail from
-//! the first call, mmaps from the third), which is read once on the
-//! first check.
+//! recording and replay pay nothing. Tests arm them with [`arm`] (e.g.
+//! `fail_mmaps_after: Some(2)`: mmaps fail from the third call) and
+//! disarm them with [`disarm`].
 //!
 //! Injected errors are shaped like the real thing: writes fail with
 //! `ENOSPC`, reads with `UnexpectedEof` (a short read), mmaps with a
@@ -22,10 +20,7 @@
 
 use std::io;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Mutex, Once};
-
-/// The environment variable that arms the failpoints process-wide.
-pub const ENV_VAR: &str = "MOAT_IO_FAULTS";
+use std::sync::Mutex;
 
 /// Which I/O operations fail, after how many successes. `None` leaves an
 /// operation untouched; `Some(n)` lets the first `n` calls through and
@@ -40,58 +35,6 @@ pub struct IoFaultConfig {
     /// Header reads fail with `UnexpectedEof` (a short read) after this
     /// many successes.
     pub fail_reads_after: Option<u64>,
-}
-
-impl IoFaultConfig {
-    /// The config armed via [`ENV_VAR`]: `None` when unset or empty.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`parse`](Self::parse) errors, and rejects a value
-    /// that is not valid Unicode instead of silently ignoring it. The
-    /// repro binary calls this eagerly at startup so a malformed spec
-    /// fails the invocation with a clear message; the lazy in-library
-    /// arming path degrades with a warning instead (chaos tooling must
-    /// never turn a production run into a panic).
-    pub fn from_env() -> Result<Option<IoFaultConfig>, String> {
-        match std::env::var(ENV_VAR) {
-            Ok(spec) if spec.trim().is_empty() => Ok(None),
-            Ok(spec) => Self::parse(&spec).map(Some),
-            Err(std::env::VarError::NotPresent) => Ok(None),
-            Err(std::env::VarError::NotUnicode(_)) => {
-                Err(format!("{ENV_VAR} is set but not valid Unicode"))
-            }
-        }
-    }
-
-    /// Parses a `key=value` list, e.g. `write=0,mmap=2,read=1`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a description of the offending token.
-    pub fn parse(spec: &str) -> Result<IoFaultConfig, String> {
-        let mut config = IoFaultConfig::default();
-        for token in spec.split(',') {
-            let token = token.trim();
-            if token.is_empty() {
-                continue;
-            }
-            let (key, value) = token
-                .split_once('=')
-                .ok_or_else(|| format!("I/O fault token `{token}` is not key=value"))?;
-            let after: u64 = value
-                .trim()
-                .parse()
-                .map_err(|e| format!("I/O fault count `{token}`: {e}"))?;
-            match key.trim() {
-                "write" => config.fail_writes_after = Some(after),
-                "mmap" => config.fail_mmaps_after = Some(after),
-                "read" => config.fail_reads_after = Some(after),
-                other => return Err(format!("unknown I/O fault key `{other}`")),
-            }
-        }
-        Ok(config)
-    }
 }
 
 /// Mutable failpoint state: the armed config plus per-site call counts.
@@ -118,7 +61,6 @@ static STATE: Mutex<State> = Mutex::new(State {
     reads: 0,
     injected: 0,
 });
-static ENV_INIT: Once = Once::new();
 
 /// Arms the failpoints with `config`, resetting all call counts.
 pub fn arm(config: IoFaultConfig) {
@@ -140,28 +82,11 @@ pub fn injected() -> u64 {
     STATE.lock().unwrap().injected
 }
 
-/// Reads [`ENV_VAR`] once per process (called lazily by the first
-/// check). A malformed value is reported loudly and left disarmed —
-/// this path sits under arbitrary library I/O, so it cannot fail-fast;
-/// binaries that want a hard error call [`IoFaultConfig::from_env`]
-/// eagerly at startup (as `repro` does) before any check runs.
-fn init_from_env() {
-    ENV_INIT.call_once(|| match IoFaultConfig::from_env() {
-        Ok(Some(config)) => arm(config),
-        Ok(None) => {}
-        Err(e) => moat_telemetry::log::warn(
-            "moat-trace",
-            format_args!("malformed {ENV_VAR} ignored (failpoints disarmed): {e}"),
-        ),
-    });
-}
-
 /// Consults one failpoint site: counts the call and decides failure.
 fn check(
     site: fn(&mut State) -> (&mut u64, Option<u64>),
     error: fn() -> io::Error,
 ) -> io::Result<()> {
-    init_from_env();
     if !ARMED.load(Ordering::Relaxed) {
         return Ok(());
     }
@@ -207,55 +132,4 @@ pub(crate) fn check_read() -> io::Result<()> {
         },
         || io::Error::new(io::ErrorKind::UnexpectedEof, "injected short read"),
     )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn from_env_surfaces_malformed_values_as_errors() {
-        // Malformed and empty values only: a *valid* value here could
-        // race the lazy `init_from_env` latch of a concurrently running
-        // I/O test and arm the failpoints process-wide. Valid parsing
-        // is covered by `parse_accepts_the_documented_form`.
-        let check = |value: &str, expect_err: bool| {
-            std::env::set_var(ENV_VAR, value);
-            let result = IoFaultConfig::from_env();
-            std::env::remove_var(ENV_VAR);
-            assert_eq!(
-                result.is_err(),
-                expect_err,
-                "{ENV_VAR}={value:?} -> {result:?}"
-            );
-        };
-        check("write", true); // missing =
-        check("write=x", true); // non-numeric count
-        check("scribble=1", true); // unknown key
-        check("", false); // empty means disarmed, not an error
-        check("  ", false);
-        assert_eq!(IoFaultConfig::from_env(), Ok(None), "unset means disarmed");
-
-        #[cfg(unix)]
-        {
-            use std::os::unix::ffi::OsStringExt;
-            let bogus = std::ffi::OsString::from_vec(vec![0x77, 0xFE]);
-            std::env::set_var(ENV_VAR, &bogus);
-            let result = IoFaultConfig::from_env();
-            std::env::remove_var(ENV_VAR);
-            assert!(result.is_err(), "non-Unicode must error: {result:?}");
-        }
-    }
-
-    #[test]
-    fn parse_accepts_the_documented_form() {
-        let c = IoFaultConfig::parse("write=0, mmap=2,read=1").unwrap();
-        assert_eq!(c.fail_writes_after, Some(0));
-        assert_eq!(c.fail_mmaps_after, Some(2));
-        assert_eq!(c.fail_reads_after, Some(1));
-        assert_eq!(IoFaultConfig::parse("").unwrap(), IoFaultConfig::default());
-        assert!(IoFaultConfig::parse("write").is_err());
-        assert!(IoFaultConfig::parse("write=x").is_err());
-        assert!(IoFaultConfig::parse("scribble=1").is_err());
-    }
 }

@@ -179,10 +179,6 @@ pub const ENGINES: &[EngineSpec] = &[
     },
 ];
 
-/// The env var overriding the arena's engine selection (same grammar
-/// as `repro arena --engines`: a comma-separated list of names).
-pub const ENV_ENGINES: &str = "MOAT_ARENA_ENGINES";
-
 /// All registered engine names, in comparison order.
 pub fn names() -> Vec<&'static str> {
     ENGINES.iter().map(|s| s.name).collect()
@@ -223,24 +219,6 @@ pub fn parse_selection(list: &str) -> Result<Vec<&'static EngineSpec>, String> {
         selected.push(spec);
     }
     Ok(selected)
-}
-
-/// Reads the [`ENV_ENGINES`] override: `Ok(None)` when unset,
-/// `Ok(Some(selection))` when set and well-formed, `Err` otherwise
-/// (including non-unicode values) — the eager-validation surface
-/// `repro` checks before doing any work.
-pub fn selection_from_env() -> Result<Option<Vec<&'static EngineSpec>>, String> {
-    match std::env::var_os(ENV_ENGINES) {
-        None => Ok(None),
-        Some(raw) => {
-            let Some(value) = raw.to_str() else {
-                return Err(format!("{ENV_ENGINES} must be valid unicode"));
-            };
-            parse_selection(value)
-                .map(Some)
-                .map_err(|e| format!("{ENV_ENGINES}: {e}"))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -307,15 +285,6 @@ mod tests {
     fn selection_rejects_malformed_lists() {
         for bad in ["", "moat,", ",moat", "moat,,comet", "tortuga", "moat,moat"] {
             assert!(parse_selection(bad).is_err(), "accepted {bad:?}");
-        }
-    }
-
-    #[test]
-    fn env_override_is_validated() {
-        // The env surface is exercised end-to-end (exit 2) by the
-        // `repro` CLI tests; here just the unset fast path.
-        if std::env::var_os(ENV_ENGINES).is_none() {
-            assert!(selection_from_env().unwrap().is_none());
         }
     }
 }
