@@ -47,8 +47,8 @@
 //!   repro ... --telemetry       append deterministic telemetry after
 //!                               the canonical output (`all`, `faults
 //!                               sweep`, `recover sweep`, `arena` and
-//!                               `fleet` accept it); MOAT_TELEMETRY=level=off|
-//!                               spans|full,sink=text|json|chrome takes
+//!                               `fleet` accept it); MOAT_TELEMETRY=
+//!                               level=off|full,sink=text|json takes
 //!                               precedence when set, and
 //!                               MOAT_LOG=error|warn|info tunes the
 //!                               stderr degradation log (default warn)
@@ -79,8 +79,8 @@
 use std::time::Instant;
 
 use moat_bench::{
-    bench_perf, effective_config, render_registry, run_arena_command, run_experiment,
-    run_faults_command, run_fleet_command, run_recover_command, run_trace_command, Checkpoint,
+    bench_perf, effective_config, run_arena_command, run_experiment, run_faults_command,
+    run_fleet_command, run_recover_command, run_trace_command, take_telemetry_flag, Checkpoint,
     PerfLab, Scale, ALL_EXPERIMENTS,
 };
 use moat_dram::env;
@@ -88,7 +88,7 @@ use moat_faults::FaultPlan;
 use moat_fleet::FleetFaultPlan;
 use moat_guard::RecoveryPlan;
 use moat_telemetry::log::LogLevel;
-use moat_telemetry::{log, MetricsRegistry, TelemetryConfig, TelemetryLevel};
+use moat_telemetry::{log, MetricsRegistry, TelemetryConfig};
 use moat_trace::TraceCache;
 
 /// Allowed fractional drop of any gated metric (the fields
@@ -220,8 +220,7 @@ fn main() {
     // flows to them inside `&args[1..]`); from here on it belongs to
     // the experiment runner. The env grammar was validated at startup,
     // so resolving the effective config cannot fail.
-    let telemetry_flag = args.iter().any(|a| a == "--telemetry");
-    args.retain(|a| a != "--telemetry");
+    let (args, telemetry_flag) = take_telemetry_flag(&args);
     let telemetry = effective_config(telemetry_flag).expect("MOAT_TELEMETRY validated at startup");
 
     let all_mode = args.first().is_some_and(|a| a == "all");
@@ -349,8 +348,8 @@ fn main() {
     // confirmation, smoke verdicts) so armed runs only ever *append*
     // to the disarmed output — CI byte-diffs of the artifacts above
     // are unaffected by arming.
-    if telemetry.level != TelemetryLevel::Off {
-        print!("{}", render_registry(&tel_reg, telemetry.sink));
+    if telemetry.armed {
+        print!("{}", telemetry.sink.render(&tel_reg));
     }
     if failed {
         std::process::exit(1);

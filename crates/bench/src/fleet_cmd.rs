@@ -22,12 +22,12 @@ use std::path::Path;
 
 use moat_fleet::{FleetConfig, FleetFaultPlan, FleetSupervisor, FleetTopology, ShardStore};
 use moat_guard::RecoveryPlan;
-use moat_telemetry::{log, TelemetryLevel};
+use moat_telemetry::log;
 use moat_trackers::registry;
 
 use crate::checkpoint::Checkpoint;
 use crate::sweep::fnv1a;
-use crate::telemetry_cli::{effective_config, take_telemetry_flag};
+use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// Default shard count (the acceptance-scale topology).
 const DEFAULT_SHARDS: u32 = 64;
@@ -228,15 +228,7 @@ pub fn run_fleet_command(args: &[String]) -> Result<String, String> {
     );
     // The telemetry section is *appended after* the report so the
     // disarmed artifact CI byte-diffs stays untouched.
-    if tel.level == TelemetryLevel::Off {
-        Ok(report.render())
-    } else {
-        Ok(format!(
-            "{}\n{}",
-            report.render(),
-            report.render_telemetry(tel.sink)
-        ))
-    }
+    Ok(append_registry(report.render(), &report.telemetry(), tel))
 }
 
 #[cfg(test)]

@@ -42,7 +42,7 @@ pub use sweep::{
     cell_metrics, run_cells, run_sweep, try_run_cells, CellOutcome, SweepCell, SweepOutcome,
     SweepStats,
 };
-pub use telemetry_cli::{effective_config, render_registry, take_telemetry_flag};
+pub use telemetry_cli::{effective_config, take_telemetry_flag};
 pub use trace_cmd::run_trace_command;
 
 /// The storage table (§6.5 / Appendix D).

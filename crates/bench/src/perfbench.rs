@@ -17,7 +17,7 @@ use moat_sim::{
     hammer_attacker, Attacker, Hooks, PerfConfig, PerfSim, Request, RequestStream, Scripted,
     SecurityConfig, SecuritySim, SemiScriptedAttacker, SlotBudget, DEFAULT_CHUNK,
 };
-use moat_telemetry::{PhaseProfile, SimPhase, TelemetryLevel, Tracer};
+use moat_telemetry::{PhaseProfile, SimPhase};
 use moat_trace::{Fingerprint, TraceCache, TraceKey};
 use moat_trackers::registry::{self, EngineSpec};
 use moat_trackers::{IdealSramTracker, PanopticonConfig, PanopticonEngine};
@@ -607,8 +607,8 @@ fn measure_arena(bench: &mut PerfBenchReport) {
 
 /// Attributes simulated time per phase inside two security cells —
 /// Feinting against the ideal SRAM tracker and Ratchet against MOAT-L1 —
-/// by running each through the event-horizon loop with a [`Tracer`] at
-/// `Spans` level (no per-event recording, just phase attribution). Both
+/// by running each through the event-horizon loop with a lent
+/// [`PhaseProfile`] as its telemetry layer. Both
 /// cells use the exact constructions of their security experiments,
 /// scaled down to the cheapest figure point, so the profile describes
 /// the real cells rather than a proxy. The numbers are simulated
@@ -627,10 +627,10 @@ fn measure_profiles() -> [(&'static str, PhaseProfile); 2] {
         let mut sim = SecuritySim::new(cfg, Box::new(IdealSramTracker::new(65_536)));
         let mut attacker = FeintingAttacker::new(periods as usize, 40_000);
         let duration = Nanos::new(u64::from(periods) * u64::from(k) * 3_900 + 1_000_000);
-        let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        let hooks = Hooks::default().telemetry(&mut tracer);
+        let mut profile = PhaseProfile::new();
+        let hooks = Hooks::default().telemetry(&mut profile);
         sim.run_semi_scripted_with(&mut attacker, duration, hooks);
-        *tracer.profile()
+        profile
     };
 
     // Ratchet (Fig. 15 shape): 64 aggressors ratcheting over a 256-row
@@ -641,10 +641,10 @@ fn measure_profiles() -> [(&'static str, PhaseProfile); 2] {
             Box::new(MoatEngine::new(MoatConfig::paper_default())),
         );
         let mut attacker = RatchetAttacker::new(64, 256);
-        let mut tracer = Tracer::new(TelemetryLevel::Spans);
-        let hooks = Hooks::default().telemetry(&mut tracer);
+        let mut profile = PhaseProfile::new();
+        let hooks = Hooks::default().telemetry(&mut profile);
         sim.run_semi_scripted_with(&mut attacker, Nanos::from_millis(8), hooks);
-        *tracer.profile()
+        profile
     };
 
     [("feinting", feinting), ("ratchet", ratchet)]

@@ -9,7 +9,7 @@
 //! output, so the disarmed artifacts CI diffs byte-for-byte (the fleet
 //! report, the chaos table) are untouched.
 
-use moat_telemetry::{MetricsRegistry, TelemetryConfig, TelemetryLevel, TelemetrySink};
+use moat_telemetry::{MetricsRegistry, TelemetryConfig};
 
 /// Resolves the effective telemetry configuration for a subcommand.
 ///
@@ -27,20 +27,6 @@ pub fn effective_config(telemetry_flag: bool) -> Result<TelemetryConfig, String>
     })
 }
 
-/// Renders a metrics registry for the requested sink. The chrome sink
-/// carries no spans at registry scope, so it degrades to the JSON
-/// object. Always newline-terminated so callers can append it directly.
-pub fn render_registry(reg: &MetricsRegistry, sink: TelemetrySink) -> String {
-    match sink {
-        TelemetrySink::Text => reg.render(),
-        TelemetrySink::Json | TelemetrySink::Chrome => {
-            let mut s = reg.render_json();
-            s.push('\n');
-            s
-        }
-    }
-}
-
 /// `artifact` as a subcommand prints it: unchanged when `tel` is off,
 /// else followed by a blank line and `reg` rendered for `tel`'s sink.
 pub(crate) fn append_registry(
@@ -48,10 +34,10 @@ pub(crate) fn append_registry(
     reg: &MetricsRegistry,
     tel: TelemetryConfig,
 ) -> String {
-    if tel.level == TelemetryLevel::Off {
-        artifact
+    if tel.armed {
+        format!("{artifact}\n{}", tel.sink.render(reg))
     } else {
-        format!("{artifact}\n{}", render_registry(reg, tel.sink))
+        artifact
     }
 }
 
@@ -92,18 +78,5 @@ mod tests {
         let (rest, flag) = take_telemetry_flag(&rest);
         assert!(!flag);
         assert_eq!(rest.len(), 2);
-    }
-
-    #[test]
-    fn registry_renders_are_newline_terminated() {
-        let mut reg = MetricsRegistry::new();
-        reg.add("a", 1);
-        for sink in [
-            TelemetrySink::Text,
-            TelemetrySink::Json,
-            TelemetrySink::Chrome,
-        ] {
-            assert!(render_registry(&reg, sink).ends_with('\n'));
-        }
     }
 }

@@ -80,7 +80,7 @@ fn non_unicode_observability_env_exits_2() {
 fn each_malformed_value_exits_2_with_its_message() {
     // One case per form each grammar has: a token without `=`, an
     // unknown key, a malformed value, and a rate outside [0, 1].
-    let cases: [(&str, &str, &str); 19] = [
+    let cases: [(&str, &str, &str); 21] = [
         (
             "MOAT_FAULTS",
             "seu",
@@ -165,7 +165,17 @@ fn each_malformed_value_exits_2_with_its_message() {
         (
             "MOAT_TELEMETRY",
             "level=verbose",
-            "telemetry level `verbose` is not off|spans|full",
+            "telemetry level `verbose` is not off|full",
+        ),
+        (
+            "MOAT_TELEMETRY",
+            "level=spans",
+            "telemetry level `spans` is not off|full",
+        ),
+        (
+            "MOAT_TELEMETRY",
+            "sink=chrome",
+            "telemetry sink `chrome` is not text|json",
         ),
         (
             "MOAT_LOG",

@@ -6,13 +6,13 @@
 //! catch that: each cell runs one attack against one engine with the
 //! whole hook stack armed — an SEU + drop-RFM + lose-ALERT
 //! [`FaultPlan`], a scrubbing [`EngineGuard`] with the conservative
-//! fallback, and a full [`Tracer`] — and folds four outputs into one
+//! fallback, and a [`PhaseProfile`] — and folds four outputs into one
 //! FNV-1a digest:
 //!
 //! * the [`SecurityReport`](moat_sim::SecurityReport);
 //! * [`FaultInjector::stats`];
 //! * [`EngineGuard::stats`];
-//! * the tracer's per-phase profile.
+//! * the per-phase profile.
 //!
 //! The grid is {per-step, semi-scripted} × {MOAT, Panopticon} ×
 //! {hammer, round-robin, Feinting}. A digest may only change together
@@ -27,7 +27,7 @@ use moat_sim::{
     hammer_attacker, round_robin_attacker, Attacker, Hooks, SecurityConfig, SecuritySim,
     SemiScriptedAttacker,
 };
-use moat_telemetry::Tracer;
+use moat_telemetry::PhaseProfile;
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 
 const DURATION: Nanos = Nanos::from_millis(2);
@@ -82,21 +82,21 @@ fn digest<A: Attacker + SemiScriptedAttacker>(
         guard.arm(sim.unit_mut()),
         "{engine_name} has no guard shadow"
     );
-    let mut tracer = Tracer::full();
+    let mut profile = PhaseProfile::new();
     let hooks = Hooks::default()
         .faults(&mut faults)
         .guard(&mut guard)
-        .telemetry(&mut tracer);
+        .telemetry(&mut profile);
     let report = match mode {
         Mode::PerStep => sim.run_with(&mut attacker, DURATION, hooks),
         Mode::Semi => sim.run_semi_scripted_with(&mut attacker, DURATION, hooks),
     };
-    assert!(report.total_acts > 0 && tracer.boundaries() > 0);
+    assert!(report.total_acts > 0 && profile.total_ns() > 0);
     [
         format!("{report:?}"),
         format!("{:?}", faults.stats()),
         format!("{:?}", guard.stats()),
-        format!("{:?}", tracer.profile()),
+        format!("{profile:?}"),
     ]
     .iter()
     .fold(0xcbf2_9ce4_8422_2325, |h, part| fnv(h, part))

@@ -3,7 +3,7 @@
 //! Every `MOAT_*` variable goes through [`var`] or [`parsed`], so an
 //! unset variable, a blank one and a value that is not valid Unicode
 //! mean the same thing everywhere, and the `key=value,...` specs share
-//! one tokenizer, [`pairs`].
+//! one tokenizer, [`pairs`], and one probability reader, [`rate`].
 
 /// The value of `name`: `None` when it is unset.
 ///
@@ -54,6 +54,17 @@ pub fn pairs<'a>(
         })
 }
 
+/// `value` as a probability in `[0, 1]` (so never `NaN` or infinite).
+/// `what` and `key` name the rate in the error of any other value, e.g.
+/// ``fault rate `seu=2` outside [0, 1]``.
+pub fn rate(what: &str, key: &str, value: &str) -> Result<f64, String> {
+    match value.parse::<f64>() {
+        Ok(rate) if (0.0..=1.0).contains(&rate) => Ok(rate),
+        Ok(_) => Err(format!("{what} rate `{key}={value}` outside [0, 1]")),
+        Err(e) => Err(format!("{what} rate `{key}={value}`: {e}")),
+    }
+}
+
 /// The names of the set variables that start with `prefix` and are not
 /// in `known`, sorted.
 pub fn unknown(prefix: &str, known: &[&str]) -> Vec<String> {
@@ -83,5 +94,22 @@ mod tests {
             Err("fault spec token `seu` is not key=value".to_string())
         );
         assert_eq!(pairs("  ", "fault spec").count(), 0);
+    }
+
+    #[test]
+    fn rate_accepts_unit_interval_only() {
+        for (value, want) in [("0", 0.0), ("1", 1.0), ("1e-4", 1e-4)] {
+            assert_eq!(rate("fault", "seu", value), Ok(want), "{value}");
+        }
+        for value in ["NaN", "inf", "-0.1", "1.5"] {
+            assert_eq!(
+                rate("fault", "seu", value),
+                Err(format!("fault rate `seu={value}` outside [0, 1]")),
+            );
+        }
+        assert_eq!(
+            rate("fleet fault", "crash", "x"),
+            Err("fleet fault rate `crash=x`: invalid float literal".to_string())
+        );
     }
 }

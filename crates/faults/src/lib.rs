@@ -178,13 +178,7 @@ impl FaultPlan {
             "stuck" => &mut self.stuck_rate,
             _ => return Err(format!("unknown fault spec key `{key}`")),
         };
-        let parsed: f64 = value
-            .parse()
-            .map_err(|e| format!("fault rate `{key}={value}`: {e}"))?;
-        if !(0.0..=1.0).contains(&parsed) {
-            return Err(format!("fault rate `{key}={value}` outside [0, 1]"));
-        }
-        *rate = parsed;
+        *rate = env::rate("fault", key, value)?;
         Ok(())
     }
 

@@ -85,13 +85,7 @@ impl FleetFaultPlan {
                     continue;
                 }
             };
-            let parsed: f64 = value
-                .parse()
-                .map_err(|e| format!("fleet fault rate `{key}={value}`: {e}"))?;
-            if !(0.0..=1.0).contains(&parsed) {
-                return Err(format!("fleet fault rate `{key}={value}` outside [0, 1]"));
-            }
-            *rate = parsed;
+            *rate = env::rate("fleet fault", &key, value)?;
         }
         Ok(plan)
     }

@@ -26,7 +26,7 @@
 use std::fmt;
 use std::fmt::Write as _;
 
-use moat_telemetry::{MetricsRegistry, TelemetrySink};
+use moat_telemetry::MetricsRegistry;
 
 use crate::supervisor::{FleetConfig, QuarantineReason, ShardOutcome, ShardState};
 
@@ -333,21 +333,6 @@ impl FleetReport {
             reg.add(&format!("fleet.incidents.{}", i.kind), 1);
         }
         reg
-    }
-
-    /// Renders [`telemetry`](Self::telemetry) for the requested sink,
-    /// newline-terminated. The chrome sink carries no spans at fleet
-    /// scope, so it degrades to the JSON metrics object.
-    pub fn render_telemetry(&self, sink: TelemetrySink) -> String {
-        let reg = self.telemetry();
-        match sink {
-            TelemetrySink::Text => reg.render(),
-            TelemetrySink::Json | TelemetrySink::Chrome => {
-                let mut s = reg.render_json();
-                s.push('\n');
-                s
-            }
-        }
     }
 
     /// Fraction of shards whose results made it into the merge.

@@ -55,14 +55,12 @@ proptest! {
         let order = permutation(&keys, 8);
         let (shuffled, _) = sup.run_with(&order, threads, None);
         prop_assert_eq!(reference.render(), shuffled.render());
-        prop_assert_eq!(
-            reference.render_telemetry(TelemetrySink::Text),
-            shuffled.render_telemetry(TelemetrySink::Text)
-        );
-        prop_assert_eq!(
-            reference.render_telemetry(TelemetrySink::Json),
-            shuffled.render_telemetry(TelemetrySink::Json)
-        );
+        for sink in [TelemetrySink::Text, TelemetrySink::Json] {
+            prop_assert_eq!(
+                sink.render(&reference.telemetry()),
+                sink.render(&shuffled.telemetry())
+            );
+        }
     }
 }
 
@@ -85,8 +83,8 @@ proptest! {
         let (shuffled, _) = sup.run_with(&order, threads, None);
         prop_assert_eq!(reference.render(), shuffled.render());
         prop_assert_eq!(
-            reference.render_telemetry(TelemetrySink::Json),
-            shuffled.render_telemetry(TelemetrySink::Json)
+            TelemetrySink::Json.render(&reference.telemetry()),
+            TelemetrySink::Json.render(&shuffled.telemetry())
         );
     }
 }
@@ -166,14 +164,10 @@ fn interrupted_run_resumes_to_the_same_report() {
         resumed.render(),
         "resume must be invisible in the merged artifact"
     );
-    for sink in [
-        TelemetrySink::Text,
-        TelemetrySink::Json,
-        TelemetrySink::Chrome,
-    ] {
+    for sink in [TelemetrySink::Text, TelemetrySink::Json] {
         assert_eq!(
-            uninterrupted.render_telemetry(sink),
-            resumed.render_telemetry(sink),
+            sink.render(&uninterrupted.telemetry()),
+            sink.render(&resumed.telemetry()),
             "resume must be invisible in the telemetry render ({sink:?})"
         );
     }

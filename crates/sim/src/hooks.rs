@@ -2,7 +2,7 @@
 //! simulation, bundled into a single ordered value.
 
 use moat_dram::{MitigationEngine, Nanos};
-use moat_telemetry::{NoTelemetry, SimEvent, SimPhase, TelemetryHook};
+use moat_telemetry::{NoTelemetry, SimPhase, TelemetryHook};
 
 use crate::fault_hook::{FaultHook, NoFaults};
 use crate::guard_hook::{GuardHook, NoGuard};
@@ -22,12 +22,12 @@ use crate::unit::BankUnit;
 /// 1. the fault layer injects (SEU flips, stuck entries);
 /// 2. the guard detects and repairs what was injected, so the engine's
 ///    promise for the coming grant is computed on checked state;
-/// 3. telemetry observes the settled, post-repair state. It never
-///    mutates the simulation.
+/// 3. telemetry attributes the simulated time that follows, from the
+///    settled, post-repair state, to a [`SimPhase`]. It never mutates
+///    the simulation.
 ///
 /// Between boundaries only the fault layer acts (dropping an RFM, losing
-/// an ALERT assertion, auditing a promised horizon), and telemetry
-/// records the spans and events that follow.
+/// an ALERT assertion, auditing a promised horizon).
 ///
 /// # Cost
 ///
@@ -45,16 +45,16 @@ use crate::unit::BankUnit;
 /// use moat_core::{MoatConfig, MoatEngine};
 /// use moat_dram::Nanos;
 /// use moat_sim::{hammer_attacker, Hooks, SecurityConfig, SecuritySim};
-/// use moat_telemetry::Tracer;
+/// use moat_telemetry::PhaseProfile;
 ///
 /// let mut sim = SecuritySim::new(
 ///     SecurityConfig::paper_default(),
 ///     MoatEngine::new(MoatConfig::paper_default()),
 /// );
-/// let mut tracer = Tracer::full();
-/// let hooks = Hooks::default().telemetry(&mut tracer);
+/// let mut profile = PhaseProfile::new();
+/// let hooks = Hooks::default().telemetry(&mut profile);
 /// sim.run_semi_scripted_with(&mut hammer_attacker(5), Nanos::from_millis(1), hooks);
-/// assert!(tracer.boundaries() > 0);
+/// assert!(profile.total_ns() > 0);
 /// ```
 #[derive(Debug)]
 pub struct Hooks<F = NoFaults, G = NoGuard, T = NoTelemetry> {
@@ -101,7 +101,7 @@ impl<F: FaultHook, G: GuardHook, T: TelemetryHook> Hooks<F, G, T> {
         }
     }
 
-    /// A boundary at `now`: inject, then detect/repair, then observe.
+    /// A boundary at `now`: inject, then detect/repair.
     #[inline]
     pub(crate) fn at_boundary<E: MitigationEngine>(&mut self, now: Nanos, unit: &mut BankUnit<E>) {
         if F::ARMED {
@@ -109,9 +109,6 @@ impl<F: FaultHook, G: GuardHook, T: TelemetryHook> Hooks<F, G, T> {
         }
         if G::ARMED {
             self.guard.at_boundary(now, unit);
-        }
-        if T::ARMED {
-            self.telemetry.on_boundary(now);
         }
     }
 
@@ -132,14 +129,6 @@ impl<F: FaultHook, G: GuardHook, T: TelemetryHook> Hooks<F, G, T> {
     pub(crate) fn unsound_horizon(&mut self, now: Nanos, promised: u64, done: u64) {
         if F::ARMED {
             self.faults.on_unsound_horizon(now, promised, done);
-        }
-    }
-
-    /// Records a point event.
-    #[inline]
-    pub(crate) fn event(&mut self, now: Nanos, event: SimEvent) {
-        if T::ARMED {
-            self.telemetry.on_event(now, event);
         }
     }
 

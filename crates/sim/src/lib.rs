@@ -52,7 +52,7 @@ pub use faw::FawTracker;
 pub use frontend::{hammer_address, AddressAccess, AddressStream};
 pub use guard_hook::{GuardHook, NoGuard};
 pub use hooks::Hooks;
-pub use moat_telemetry::{NoTelemetry, SimEvent, SimPhase, TelemetryHook};
+pub use moat_telemetry::{NoTelemetry, SimPhase, TelemetryHook};
 pub use perf::{PerfConfig, PerfReport, PerfSim, Request, RequestStream, DEFAULT_CHUNK};
 pub use security::{
     hammer_attacker, round_robin_attacker, AttackStep, Attacker, DefenseView, HammerAttacker,

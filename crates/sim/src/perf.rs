@@ -15,8 +15,6 @@ use moat_dram::{
     AboLevel, AboPhase, AboProtocol, BankId, DramConfig, MitigationEngine, Nanos, RowId,
 };
 
-use moat_telemetry::{NoTelemetry, SimEvent, SimPhase, TelemetryHook};
-
 use crate::budget::SlotBudget;
 use crate::unit::{BankUnit, PREFETCH_DISTANCE};
 
@@ -301,28 +299,7 @@ impl<E: MitigationEngine> PerfSim<E> {
     /// entered for requests that actually straddle an episode boundary.
     /// The batching is purely host-side: reports are bit-identical to
     /// [`run_per_request`](Self::run_per_request) on the same stream.
-    pub fn run<S: RequestStream>(&mut self, stream: S) -> PerfReport {
-        self.run_traced(stream, &mut NoTelemetry)
-    }
-
-    /// [`run`](Self::run) with a [`TelemetryHook`] observing the stream
-    /// at *chunk granularity*: each chunk is one telemetry boundary, and
-    /// the phase attribution is derived from counter deltas across the
-    /// chunk (ACTs × tRC → [`SimPhase::EngineUpdate`], REFs × tRFC →
-    /// [`SimPhase::Refresh`], RFMs × tRFM → [`SimPhase::EpisodeChurn`],
-    /// the unattributed remainder of the chunk's elapsed sim time →
-    /// [`SimPhase::Idle`]). [`SimPhase::StreamDecode`] and
-    /// [`SimPhase::Prefetch`] carry unit counts only (requests decoded,
-    /// prefetch hints issued) — they are host-side work with no
-    /// simulated duration. Nothing is sampled inside the per-request
-    /// hot path, so the armed run's report stays bit-identical to the
-    /// disarmed one and the disarmed ([`NoTelemetry`]) build
-    /// constant-folds back to [`run`](Self::run) exactly.
-    pub fn run_traced<S: RequestStream, T: TelemetryHook>(
-        &mut self,
-        mut stream: S,
-        tel: &mut T,
-    ) -> PerfReport {
+    pub fn run<S: RequestStream>(&mut self, mut stream: S) -> PerfReport {
         let mut st = IssueState {
             intent: Nanos::ZERO,
             shift: Nanos::ZERO,
@@ -336,55 +313,7 @@ impl<E: MitigationEngine> PerfSim<E> {
             if n == 0 {
                 break;
             }
-            if T::ARMED {
-                let t0 = self.last_end;
-                let refs0 = self.units[0].stats().refs;
-                let alerts0 = self.abo.alerts();
-                let rfms0 = self.abo.rfms();
-                let hints = Self::prefetch_hint_count(&chunk, self.units.len());
-                self.issue_chunk(&chunk, &mut st);
-                tel.on_boundary(self.last_end);
-
-                let timing = self.config.dram.timing;
-                let refs_d = self.units[0].stats().refs - refs0;
-                let alerts_d = self.abo.alerts() - alerts0;
-                let rfms_d = self.abo.rfms() - rfms0;
-                let act_ns = timing.t_rc.as_u64() * n as u64;
-                let ref_ns = timing.t_rfc.as_u64() * refs_d;
-                let rfm_ns = timing.t_rfm.as_u64() * rfms_d;
-                let elapsed = self.last_end.as_u64().saturating_sub(t0.as_u64());
-                let idle_ns = elapsed.saturating_sub(act_ns + ref_ns + rfm_ns);
-
-                // Attribution spans tile the chunk's elapsed window in a
-                // fixed order (engine, refresh, episode, idle) — the sum
-                // is exact even though the true interleaving is finer.
-                let mut cursor = t0;
-                let mut span = |tel: &mut T, phase, ns: u64, units: u64| {
-                    let end = Nanos::new(cursor.as_u64() + ns);
-                    tel.on_phase(phase, cursor, end, units);
-                    cursor = end;
-                };
-                span(tel, SimPhase::EngineUpdate, act_ns, n as u64);
-                span(tel, SimPhase::Refresh, ref_ns, refs_d);
-                span(tel, SimPhase::EpisodeChurn, rfm_ns, rfms_d);
-                span(tel, SimPhase::Idle, idle_ns, 0);
-                tel.on_phase(SimPhase::StreamDecode, t0, t0, n as u64);
-                tel.on_phase(SimPhase::Prefetch, t0, t0, hints);
-                for _ in 0..refs_d {
-                    tel.on_event(self.last_end, SimEvent::Ref);
-                }
-                for _ in 0..alerts_d {
-                    tel.on_event(self.last_end, SimEvent::Alert);
-                    tel.on_event(
-                        self.last_end,
-                        SimEvent::Episode {
-                            rfms: u64::from(self.config.abo_level.as_u8()),
-                        },
-                    );
-                }
-            } else {
-                self.issue_chunk(&chunk, &mut st);
-            }
+            self.issue_chunk(&chunk, &mut st);
         }
         self.drain_trailing_alert();
         self.report()
@@ -406,26 +335,6 @@ impl<E: MitigationEngine> PerfSim<E> {
         }
         self.drain_trailing_alert();
         self.report()
-    }
-
-    /// Counts the prefetch hints [`issue_chunk`](Self::issue_chunk) will
-    /// emit for `chunk` — the same lookahead, duplicate-skip (one
-    /// compare of the packed [`lookahead_key`]), and bank-range rules,
-    /// evaluated without touching the units. Only run when telemetry is
-    /// armed; keeps the hint accounting out of the issue loop.
-    fn prefetch_hint_count(chunk: &[Request], n_units: usize) -> u64 {
-        let mut last_key = NO_LOOKAHEAD_KEY;
-        let mut hints = 0u64;
-        for i in 0..chunk.len() {
-            if let Some(ahead) = chunk.get(i + PREFETCH_DISTANCE) {
-                let key = lookahead_key(ahead);
-                if key != last_key && ahead.bank.as_usize() < n_units {
-                    hints += 1;
-                }
-                last_key = key;
-            }
-        }
-        hints
     }
 
     /// Issues one chunk of requests. The fast path — no REF due, no ALERT
@@ -797,8 +706,8 @@ mod tests {
 
     #[test]
     fn lookahead_dedup_rule_is_pinned() {
-        // Pinned values: the prefetch hints counted under telemetry and
-        // the report must not move when the lookahead key changes form.
+        // Pinned values: the report must not move when the lookahead key
+        // changes form, at either chunk size.
         let expect = PerfReport {
             completion_time: Nanos::new(246_956),
             total_acts: 6000,
@@ -812,18 +721,12 @@ mod tests {
             max_pressure: 99,
             max_epoch: 66,
         };
-        for (chunk, hints) in [(DEFAULT_CHUNK, 5190u64), (61, 4223)] {
+        for chunk in [DEFAULT_CHUNK, 61] {
             let mut sim = PerfSim::new(small_cfg(2, true), || {
                 MoatEngine::new(MoatConfig::paper_default())
             });
             sim.set_chunk_size(chunk);
-            let mut tracer = moat_telemetry::Tracer::full();
-            let got = sim.run_traced(lookahead_stream(), &mut tracer);
-            assert_eq!(
-                tracer.profile().units(SimPhase::Prefetch),
-                hints,
-                "chunk {chunk}"
-            );
+            let got = sim.run(lookahead_stream());
             assert_eq!(got, expect, "chunk {chunk}");
         }
     }

@@ -31,7 +31,7 @@ use moat_dram::{
     AboLevel, AboPhase, AboProtocol, DramConfig, EngineFault, MitigationEngine, Nanos, RowId,
 };
 
-use moat_telemetry::{SimEvent, SimPhase, TelemetryHook};
+use moat_telemetry::{SimPhase, TelemetryHook};
 
 use crate::budget::SlotBudget;
 use crate::fault_hook::FaultHook;
@@ -500,7 +500,6 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 let t0 = self.now;
                 self.unit.perform_ref(self.now);
                 self.now += t_rfc;
-                hooks.event(t0, SimEvent::Ref);
                 hooks.phase(SimPhase::Refresh, t0, self.now, 1);
                 continue;
             }
@@ -513,7 +512,6 @@ impl<E: MitigationEngine> SecuritySim<E> {
                     self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
                 } else {
                     self.abo.assert_alert(self.now).expect("can_assert checked");
-                    hooks.event(self.now, SimEvent::Alert);
                     // Normal operation continues inside the 180 ns window.
                 }
             }
@@ -785,7 +783,6 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         }
                     }
                     self.now = done;
-                    hooks.event(t0, SimEvent::Episode { rfms });
                     hooks.phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
                 } else {
                     let done = self.abo.start_rfm(self.now).expect("rfm after window");
@@ -819,7 +816,6 @@ impl<E: MitigationEngine> SecuritySim<E> {
             let t0 = self.now;
             self.unit.perform_ref(self.now);
             self.now += t_rfc;
-            hooks.event(t0, SimEvent::Ref);
             hooks.phase(SimPhase::Refresh, t0, self.now, 1);
             return true;
         }
@@ -832,7 +828,6 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
             } else {
                 self.abo.assert_alert(self.now).expect("can_assert checked");
-                hooks.event(self.now, SimEvent::Alert);
             }
         }
         false

@@ -1,36 +1,13 @@
-//! The `MOAT_TELEMETRY` configuration: how much to record and how to
-//! render it. Same `key=value` grammar, eager validation, and
-//! `Display`-round-trips-through-`parse` contract as `MOAT_FAULTS`.
+//! The `MOAT_TELEMETRY` configuration: whether to print the metrics
+//! registry and how to render it. Same `key=value` grammar, eager
+//! validation, and `Display`-round-trips-through-`parse` contract as
+//! `MOAT_FAULTS`.
 
 use std::fmt;
 
 use moat_dram::env;
 
-/// How much the armed tracer records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum TelemetryLevel {
-    /// Telemetry disarmed: the hooks are never invoked.
-    #[default]
-    Off,
-    /// Aggregates only: the per-phase profile and the metric counters,
-    /// but no individual event/span log (bounded memory regardless of
-    /// simulated duration).
-    Spans,
-    /// Aggregates plus the bounded event/span log needed for a
-    /// chrome://tracing timeline.
-    Full,
-}
-
-impl TelemetryLevel {
-    /// The grammar token for this level.
-    pub fn name(self) -> &'static str {
-        match self {
-            TelemetryLevel::Off => "off",
-            TelemetryLevel::Spans => "spans",
-            TelemetryLevel::Full => "full",
-        }
-    }
-}
+use crate::metrics::MetricsRegistry;
 
 /// How a telemetry artifact is rendered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -40,9 +17,6 @@ pub enum TelemetrySink {
     Text,
     /// Deterministic JSON (sorted keys, integer values).
     Json,
-    /// chrome://tracing trace-event JSON (load via `about:tracing` or
-    /// Perfetto; timestamps are virtual nanoseconds, not wall-clock).
-    Chrome,
 }
 
 impl TelemetrySink {
@@ -51,7 +25,15 @@ impl TelemetrySink {
         match self {
             TelemetrySink::Text => "text",
             TelemetrySink::Json => "json",
-            TelemetrySink::Chrome => "chrome",
+        }
+    }
+
+    /// `reg` rendered for this sink, newline-terminated so callers can
+    /// append it directly.
+    pub fn render(self, reg: &MetricsRegistry) -> String {
+        match self {
+            TelemetrySink::Text => reg.render(),
+            TelemetrySink::Json => format!("{}\n", reg.render_json()),
         }
     }
 }
@@ -62,8 +44,8 @@ impl TelemetrySink {
 /// equal simulation inputs) produce bit-identical telemetry artifacts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TelemetryConfig {
-    /// Recording level.
-    pub level: TelemetryLevel,
+    /// Whether the metrics registry is printed at all (`level=full`).
+    pub armed: bool,
     /// Render sink.
     pub sink: TelemetrySink,
 }
@@ -77,18 +59,13 @@ impl TelemetryConfig {
         TelemetryConfig::default()
     }
 
-    /// The fully armed text config: `level=full,sink=text` — what a
-    /// bare `--telemetry` flag arms when the env var is unset.
+    /// The armed text config: `level=full,sink=text` — what a bare
+    /// `--telemetry` flag arms when the env var is unset.
     pub fn full() -> Self {
         TelemetryConfig {
-            level: TelemetryLevel::Full,
+            armed: true,
             sink: TelemetrySink::Text,
         }
-    }
-
-    /// Whether any recording happens at all.
-    pub fn armed(&self) -> bool {
-        self.level != TelemetryLevel::Off
     }
 
     /// Parses a config from a `key=value` list, e.g.
@@ -105,23 +82,17 @@ impl TelemetryConfig {
             let (key, value) = pair?;
             match key.as_str() {
                 "level" => {
-                    config.level = match value {
-                        "off" => TelemetryLevel::Off,
-                        "spans" => TelemetryLevel::Spans,
-                        "full" => TelemetryLevel::Full,
-                        other => {
-                            return Err(format!("telemetry level `{other}` is not off|spans|full"))
-                        }
+                    config.armed = match value {
+                        "off" => false,
+                        "full" => true,
+                        other => return Err(format!("telemetry level `{other}` is not off|full")),
                     };
                 }
                 "sink" => {
                     config.sink = match value {
                         "text" => TelemetrySink::Text,
                         "json" => TelemetrySink::Json,
-                        "chrome" => TelemetrySink::Chrome,
-                        other => {
-                            return Err(format!("telemetry sink `{other}` is not text|json|chrome"))
-                        }
+                        other => return Err(format!("telemetry sink `{other}` is not text|json")),
                     };
                 }
                 _ => return Err(format!("unknown telemetry spec key `{key}`")),
@@ -143,7 +114,8 @@ impl TelemetryConfig {
 
 impl fmt::Display for TelemetryConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "level={},sink={}", self.level.name(), self.sink.name())
+        let level = if self.armed { "full" } else { "off" };
+        write!(f, "level={level},sink={}", self.sink.name())
     }
 }
 
@@ -153,20 +125,11 @@ mod tests {
 
     #[test]
     fn parse_accepts_the_documented_grammar() {
-        for level in [
-            TelemetryLevel::Off,
-            TelemetryLevel::Spans,
-            TelemetryLevel::Full,
-        ] {
-            for sink in [
-                TelemetrySink::Text,
-                TelemetrySink::Json,
-                TelemetrySink::Chrome,
-            ] {
-                let spec = format!("level={},sink={}", level.name(), sink.name());
+        for (level, armed) in [("off", false), ("full", true)] {
+            for sink in [TelemetrySink::Text, TelemetrySink::Json] {
+                let spec = format!("level={level},sink={}", sink.name());
                 let config = TelemetryConfig::parse(&spec).unwrap();
-                assert_eq!(config.level, level);
-                assert_eq!(config.sink, sink);
+                assert_eq!(config, TelemetryConfig { armed, sink });
                 assert_eq!(config.to_string(), spec, "Display round-trips");
             }
         }
@@ -176,16 +139,16 @@ mod tests {
     fn parse_defaults_tolerates_whitespace_and_dashes() {
         assert_eq!(TelemetryConfig::parse("").unwrap(), TelemetryConfig::off());
         assert_eq!(
-            TelemetryConfig::parse(" level = full , sink = chrome ,, ").unwrap(),
+            TelemetryConfig::parse(" level = full , sink = json ,, ").unwrap(),
             TelemetryConfig {
-                level: TelemetryLevel::Full,
-                sink: TelemetrySink::Chrome,
+                armed: true,
+                sink: TelemetrySink::Json,
             }
         );
         // Dashes and underscores in keys are interchangeable (no
         // multi-word keys yet, but the normalization is part of the
         // shared grammar).
-        assert!(TelemetryConfig::parse("level=full").unwrap().armed());
+        assert!(TelemetryConfig::parse("level=full").unwrap().armed);
     }
 
     #[test]
@@ -193,7 +156,9 @@ mod tests {
         for bad in [
             "level",           // not key=value
             "level=verbose",   // unknown level
+            "level=spans",     // removed level
             "sink=flamegraph", // unknown sink
+            "sink=chrome",     // removed sink
             "depth=3",         // unknown key
             "level=off,sink",  // trailing non-key=value token
             "level=Full",      // grammar is lowercase
@@ -241,8 +206,17 @@ mod tests {
 
     #[test]
     fn off_is_disarmed_full_is_armed() {
-        assert!(!TelemetryConfig::off().armed());
-        assert!(TelemetryConfig::full().armed());
+        assert!(!TelemetryConfig::off().armed);
+        assert!(TelemetryConfig::full().armed);
         assert_eq!(TelemetryConfig::full().to_string(), "level=full,sink=text");
+    }
+
+    #[test]
+    fn registry_renders_are_newline_terminated() {
+        let mut reg = MetricsRegistry::new();
+        reg.add("a", 1);
+        for sink in [TelemetrySink::Text, TelemetrySink::Json] {
+            assert!(sink.render(&reg).ends_with('\n'));
+        }
     }
 }

@@ -1,20 +1,17 @@
-//! The tracing seam: [`TelemetryHook`], its disarmed unit type
-//! [`NoTelemetry`], and the phase/event vocabulary.
+//! The telemetry seam: [`TelemetryHook`], its disarmed unit type
+//! [`NoTelemetry`], and the phase vocabulary.
 //!
 //! Mirrors the `FaultHook`/`GuardHook` compile-time switch discipline
-//! from `moat-sim`: the simulators are generic over `T: TelemetryHook`
-//! and guard every call with `if T::ARMED { ... }`. With
-//! [`NoTelemetry`] the branches constant-fold away, so the disarmed
-//! loops compile to exactly the uninstrumented code. In the security
-//! simulator the hook is the telemetry layer of `moat-sim`'s `Hooks`
-//! stack, which states where it runs in a boundary; it observes and must
-//! never mutate the simulation.
+//! from `moat-sim`: the security simulator's loops are generic over
+//! `T: TelemetryHook` and guard every call with `if T::ARMED { ... }`.
+//! With [`NoTelemetry`] the branches constant-fold away, so the
+//! disarmed loops compile to exactly the uninstrumented code. The hook
+//! is the telemetry layer of `moat-sim`'s `Hooks` stack, which states
+//! where it runs; it observes and must never mutate the simulation.
 
 use moat_dram::Nanos;
 
-/// Where simulated time goes inside a simulator loop. The vocabulary is
-/// shared by `SecuritySim` and `PerfSim` so per-cell profiles compare
-/// across both.
+/// Where simulated time goes inside a simulator loop.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SimPhase {
     /// Activations flowing through the mitigation engine (the tracker
@@ -22,9 +19,12 @@ pub enum SimPhase {
     EngineUpdate,
     /// ALERT episode churn: RFM drains and their tRFC-class stalls.
     EpisodeChurn,
-    /// Pulling and decoding the request stream (chunk refills).
+    /// Pulling and decoding the request stream. No simulator loop
+    /// attributes time here; the phase keeps its place in the fixed
+    /// render order.
     StreamDecode,
-    /// Row-hint prefetch issued ahead of the chunk.
+    /// Row-hint prefetch issued ahead of the chunk. Like
+    /// [`StreamDecode`](Self::StreamDecode), never attributed.
     Prefetch,
     /// Periodic refresh (REF) windows.
     Refresh,
@@ -58,7 +58,7 @@ impl SimPhase {
         }
     }
 
-    /// Render name (also the metrics taxonomy token).
+    /// Render name; with `_` for `-`, the phase token of the `profile_*` keys.
     pub fn name(self) -> &'static str {
         match self {
             SimPhase::EngineUpdate => "engine-update",
@@ -71,54 +71,22 @@ impl SimPhase {
     }
 }
 
-/// A point event at a simulated instant.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SimEvent {
-    /// A bank engine asserted ALERT.
-    Alert,
-    /// An ALERT episode (RFM drain) completed; payload = RFMs issued.
-    Episode {
-        /// RFM mitigations the episode performed.
-        rfms: u64,
-    },
-    /// A periodic refresh was performed.
-    Ref,
-}
-
-impl SimEvent {
-    /// Render name (also the metrics taxonomy token).
-    pub fn name(self) -> &'static str {
-        match self {
-            SimEvent::Alert => "alert",
-            SimEvent::Episode { .. } => "episode",
-            SimEvent::Ref => "ref",
-        }
-    }
-}
-
 /// The observation seam the simulators thread through their loops.
 ///
-/// All default method bodies are empty so an armed hook implements only
-/// what it needs; [`NoTelemetry`] relies on `ARMED = false` to erase
-/// the call sites entirely. Implementations observe — they must not
-/// mutate simulation state, and they must derive everything they record
-/// from the arguments (sim time, ACT counts), never from wall-clock.
+/// [`on_phase`](Self::on_phase) has an empty default body;
+/// [`NoTelemetry`] relies on `ARMED = false` to erase the call sites
+/// entirely. Implementations observe — they must not mutate simulation
+/// state, and they must derive everything they record from the
+/// arguments (sim time, ACT counts), never from wall-clock.
 pub trait TelemetryHook {
     /// Whether the simulator should call this hook at all. Call sites
     /// guard with `if T::ARMED`, so a `false` here constant-folds the
     /// instrumentation away.
     const ARMED: bool;
 
-    /// An event-horizon boundary was reached (one iteration of a
-    /// batched loop; one settled step of the per-step reference).
-    fn on_boundary(&mut self, _now: Nanos) {}
-
-    /// A point event fired at simulated instant `now`.
-    fn on_event(&mut self, _now: Nanos, _event: SimEvent) {}
-
     /// Simulated time `[start, end)` was spent in `phase`, covering
     /// `units` units of work (ACTs for engine phases, RFMs for episode
-    /// churn, requests for stream decode).
+    /// churn).
     fn on_phase(&mut self, _phase: SimPhase, _start: Nanos, _end: Nanos, _units: u64) {}
 }
 
@@ -130,18 +98,10 @@ impl TelemetryHook for NoTelemetry {
     const ARMED: bool = false;
 }
 
-/// A lent hook: the simulators can hold `&mut tracer`, and the caller
-/// keeps the tracer (and what it recorded) after the run.
+/// A lent hook: the simulators can hold `&mut profile`, and the caller
+/// keeps the hook (and what it recorded) after the run.
 impl<T: TelemetryHook> TelemetryHook for &mut T {
     const ARMED: bool = T::ARMED;
-
-    fn on_boundary(&mut self, now: Nanos) {
-        (**self).on_boundary(now);
-    }
-
-    fn on_event(&mut self, now: Nanos, event: SimEvent) {
-        (**self).on_event(now, event);
-    }
 
     fn on_phase(&mut self, phase: SimPhase, start: Nanos, end: Nanos, units: u64) {
         (**self).on_phase(phase, start, end, units);
@@ -162,10 +122,8 @@ mod tests {
     #[test]
     fn no_telemetry_is_disarmed() {
         const { assert!(!NoTelemetry::ARMED) };
-        // The defaults must be callable (the armed paths share them).
+        // The default must be callable.
         let mut t = NoTelemetry;
-        t.on_boundary(Nanos::new(0));
-        t.on_event(Nanos::new(0), SimEvent::Alert);
         t.on_phase(SimPhase::Idle, Nanos::new(0), Nanos::new(1), 0);
     }
 }
