@@ -78,11 +78,6 @@ impl FeintingAttacker {
     pub fn live_rows(&self) -> usize {
         self.heap.len()
     }
-
-    /// Initial pool size.
-    pub fn initial_pool(&self) -> usize {
-        self.initial_pool
-    }
 }
 
 impl Attacker for FeintingAttacker {

@@ -19,7 +19,7 @@
 
 use std::borrow::Cow;
 
-use moat_dram::{Nanos, RowId};
+use moat_dram::RowId;
 use moat_sim::{AttackStep, Attacker, DefenseView, RunGrant, SemiRun, SemiScriptedAttacker};
 
 use crate::grant::{push_panopticon_capped, push_panopticon_capped_single, GrantLog};
@@ -330,11 +330,6 @@ impl RandomizedJailbreak {
                 best
             })
             .collect()
-    }
-
-    /// Average time per iteration (§3.3: ≈256 µs including queue reset).
-    pub fn iteration_time(&self) -> Nanos {
-        Nanos::from_micros(256)
     }
 }
 

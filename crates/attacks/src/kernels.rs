@@ -1,13 +1,11 @@
 //! Basic performance-attack kernels (§7.2, Fig. 13) as request streams for
 //! the performance simulator.
 //!
-//! Each kernel exists in two forms: a *streaming* form
-//! ([`single_row_stream`], [`multi_row_stream`], [`sync_multibank_stream`])
-//! that implements [`RequestStream`] with an O(1)-state chunked fill —
-//! the pattern is regenerated into the simulator's reusable batch buffer
-//! instead of being materialized up front — and a `Vec`-returning form
-//! kept for call sites that want to inspect or splice the pattern. Both
-//! forms emit identical sequences.
+//! Each kernel ([`single_row_stream`], [`multi_row_stream`],
+//! [`sync_multibank_stream`]) is one [`KernelStream`], which implements
+//! [`RequestStream`] with an O(1)-state chunked fill: the pattern is
+//! regenerated into the simulator's reusable batch buffer instead of
+//! being materialized up front.
 
 use std::borrow::Cow;
 
@@ -43,16 +41,6 @@ impl KernelStream {
     /// Requests still to be emitted.
     pub fn remaining(&self) -> u64 {
         self.remaining
-    }
-
-    /// Materializes the rest of the stream (the `Vec`-kernel forms).
-    pub fn into_vec(mut self) -> Vec<Request> {
-        let mut out = Vec::with_capacity(self.remaining as usize);
-        let mut chunk = Vec::with_capacity(DEFAULT_CHUNK);
-        while self.next_chunk(&mut chunk) > 0 {
-            out.extend_from_slice(&chunk);
-        }
-        out
     }
 }
 
@@ -131,13 +119,16 @@ impl ScriptedAttacker for KernelStream {
     }
 }
 
-/// Streaming form of [`single_row_kernel`]: `(A)^n` on one bank.
+/// Fig. 13(a): continuously activate a single row of a single bank,
+/// `(A)^n`. With ATH = 64, every ~65th activation triggers an ALERT,
+/// costing ~10% throughput.
 pub fn single_row_stream(n: u32, bank: u16, row: u32) -> KernelStream {
     KernelStream::new(vec![(BankId::new(bank), RowId::new(row))], u64::from(n))
 }
 
-/// Streaming form of [`multi_row_kernel`]: `n` full `(ABCDE...)` cycles
-/// on one bank.
+/// Fig. 13(b): cycle over `rows` of one bank, `(ABCDE...)^n` — `n` full
+/// cycles. Each row alerts independently; throughput loss matches the
+/// single-row case.
 pub fn multi_row_stream(n: u32, bank: u16, rows: &[u32]) -> KernelStream {
     assert!(!rows.is_empty(), "need at least one row");
     let pattern = rows
@@ -147,8 +138,10 @@ pub fn multi_row_stream(n: u32, bank: u16, rows: &[u32]) -> KernelStream {
     KernelStream::new(pattern, u64::from(n) * rows.len() as u64)
 }
 
-/// Streaming form of [`synchronized_multibank`]: `n` rounds of every bank
-/// hammering the row set in lockstep.
+/// §7.2: the synchronized multi-bank pattern — `n` rounds of every bank
+/// hammering its own row set in lockstep (interleaved round-robin across
+/// banks). Each ALERT mitigates one row from *each* bank, so the loss
+/// stays at the single-bank level (~10%).
 pub fn sync_multibank_stream(n: u32, banks: u16, rows: &[u32]) -> KernelStream {
     assert!(banks > 0 && !rows.is_empty(), "need banks and rows");
     let mut pattern = Vec::with_capacity(rows.len() * banks as usize);
@@ -159,28 +152,6 @@ pub fn sync_multibank_stream(n: u32, banks: u16, rows: &[u32]) -> KernelStream {
     }
     let total = u64::from(n) * pattern.len() as u64;
     KernelStream::new(pattern, total)
-}
-
-/// Fig. 13(a): continuously activate a single row of a single bank,
-/// `(A)^n`. With ATH = 64, every ~65th activation triggers an ALERT,
-/// costing ~10% throughput.
-pub fn single_row_kernel(n: u32, bank: u16, row: u32) -> Vec<Request> {
-    single_row_stream(n, bank, row).into_vec()
-}
-
-/// Fig. 13(b): cycle over `rows` of one bank, `(ABCDE...)^n` — `n` full
-/// cycles. Each row alerts independently; throughput loss matches the
-/// single-row case.
-pub fn multi_row_kernel(n: u32, bank: u16, rows: &[u32]) -> Vec<Request> {
-    multi_row_stream(n, bank, rows).into_vec()
-}
-
-/// §7.2: the synchronized multi-bank pattern — every bank hammers its own
-/// row set simultaneously (interleaved round-robin across banks). Each
-/// ALERT mitigates one row from *each* bank, so the loss stays at the
-/// single-bank level (~10%).
-pub fn synchronized_multibank(n: u32, banks: u16, rows: &[u32]) -> Vec<Request> {
-    sync_multibank_stream(n, banks, rows).into_vec()
 }
 
 #[cfg(test)]
@@ -204,43 +175,43 @@ mod tests {
         Box::new(MoatEngine::new(MoatConfig::paper_default()))
     }
 
-    fn loss(stream: &[Request], banks: u16) -> f64 {
-        let with = PerfSim::new(cfg(banks, true), moat).run(stream.iter().copied());
-        let base = PerfSim::new(cfg(banks, false), moat).run(stream.iter().copied());
+    fn loss(stream: KernelStream, banks: u16) -> f64 {
+        let with = PerfSim::new(cfg(banks, true), moat).run(stream.clone());
+        let base = PerfSim::new(cfg(banks, false), moat).run(stream);
         with.slowdown_vs(&base)
     }
 
     #[test]
-    fn streaming_and_vec_kernels_emit_identical_sequences() {
-        use moat_sim::RequestStream;
+    fn chunked_and_per_request_drains_emit_identical_sequences() {
         let rows = [10u32, 20, 30];
-        let cases: [(KernelStream, Vec<Request>); 3] = [
-            (single_row_stream(100, 1, 7), single_row_kernel(100, 1, 7)),
-            (
-                multi_row_stream(40, 0, &rows),
-                multi_row_kernel(40, 0, &rows),
-            ),
-            (
-                sync_multibank_stream(10, 3, &rows),
-                synchronized_multibank(10, 3, &rows),
-            ),
+        let streams = [
+            single_row_stream(100, 1, 7),
+            multi_row_stream(40, 0, &rows),
+            sync_multibank_stream(10, 3, &rows),
         ];
-        for (mut stream, vec_form) in cases {
-            assert_eq!(stream.remaining() as usize, vec_form.len());
-            // Drain via single pulls and odd-sized chunks interleaved.
-            let mut got = Vec::new();
-            let mut buf = Vec::with_capacity(17);
-            loop {
-                if let Some(r) = stream.next_request() {
-                    got.push(r);
+        for stream in streams {
+            let total = stream.remaining() as usize;
+            let mut single = stream.clone();
+            let want: Vec<Request> = std::iter::from_fn(|| single.next_request()).collect();
+            assert_eq!(want.len(), total);
+            // Drain in odd-sized chunks, alone and interleaved with
+            // single pulls.
+            for pull_singles in [false, true] {
+                let mut s = stream.clone();
+                let mut got = Vec::new();
+                let mut buf = Vec::with_capacity(17);
+                loop {
+                    if pull_singles {
+                        got.extend(s.next_request());
+                    }
+                    let n = s.next_chunk(&mut buf);
+                    got.extend_from_slice(&buf);
+                    if n == 0 && s.remaining() == 0 {
+                        break;
+                    }
                 }
-                let n = stream.next_chunk(&mut buf);
-                got.extend_from_slice(&buf);
-                if n == 0 && stream.remaining() == 0 {
-                    break;
-                }
+                assert_eq!(got, want, "pull_singles {pull_singles}");
             }
-            assert_eq!(got, vec_form);
         }
     }
 
@@ -269,16 +240,15 @@ mod tests {
     #[test]
     fn single_row_kernel_loses_about_ten_percent() {
         // Fig. 13(a): 69 ACTs per 76 units ≈ 10% loss.
-        let stream = single_row_kernel(20_000, 0, 30_000);
-        let l = loss(&stream, 1);
+        let l = loss(single_row_stream(20_000, 0, 30_000), 1);
         assert!((0.05..0.20).contains(&l), "loss {l}");
     }
 
     #[test]
     fn multi_row_kernel_matches_single_row() {
-        let single = loss(&single_row_kernel(20_000, 0, 30_000), 1);
+        let single = loss(single_row_stream(20_000, 0, 30_000), 1);
         let multi = loss(
-            &multi_row_kernel(4_000, 0, &[30_000, 30_006, 30_012, 30_018, 30_024]),
+            multi_row_stream(4_000, 0, &[30_000, 30_006, 30_012, 30_018, 30_024]),
             1,
         );
         assert!(
@@ -291,9 +261,9 @@ mod tests {
     fn synchronized_multibank_is_no_worse_than_single_bank() {
         // §7.2: each ALERT mitigates one row per bank, so synchronized
         // multi-bank attacks gain nothing.
-        let single = loss(&single_row_kernel(8_000, 0, 30_000), 1);
+        let single = loss(single_row_stream(8_000, 0, 30_000), 1);
         let multi = loss(
-            &synchronized_multibank(1_600, 4, &[30_000, 30_006, 30_012, 30_018, 30_024]),
+            sync_multibank_stream(1_600, 4, &[30_000, 30_006, 30_012, 30_018, 30_024]),
             4,
         );
         assert!(

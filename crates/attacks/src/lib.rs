@@ -16,8 +16,8 @@
 //!   that unsafe counter reset is vulnerable to.
 //! * [`BlacksmithAttacker`] — decoy-thrashing of low-cost SRAM trackers
 //!   (the TRRespass/Blacksmith family that motivates PRAC, §1).
-//! * [`single_row_kernel`] / [`multi_row_kernel`] /
-//!   [`synchronized_multibank`] — performance-attack kernels (Fig. 13).
+//! * [`single_row_stream`] / [`multi_row_stream`] /
+//!   [`sync_multibank_stream`] — performance-attack kernels (Fig. 13).
 //! * [`tsa_stream`] — the Torrent-of-Staggered-ALERT attack (§7.3,
 //!   Fig. 12).
 //!
@@ -51,10 +51,7 @@ mod tsa;
 pub use blacksmith::BlacksmithAttacker;
 pub use feinting::FeintingAttacker;
 pub use jailbreak::{JailbreakAttacker, RandomizedIteration, RandomizedJailbreak};
-pub use kernels::{
-    multi_row_kernel, multi_row_stream, single_row_kernel, single_row_stream,
-    sync_multibank_stream, synchronized_multibank, KernelStream,
-};
+pub use kernels::{multi_row_stream, single_row_stream, sync_multibank_stream, KernelStream};
 pub use postponement::PostponementAttacker;
 pub use ratchet::RatchetAttacker;
 pub use straddle::StraddleAttacker;

@@ -108,16 +108,6 @@ impl RatchetAttacker {
         }
     }
 
-    /// Rows currently in the pool.
-    pub fn pool_len(&self) -> usize {
-        self.pool.len()
-    }
-
-    /// Whether the attack reached the ratcheting phase.
-    pub fn is_ratcheting(&self) -> bool {
-        self.phase == Phase::Ratcheting
-    }
-
     /// The row for candidate index `i`: spaced, skipping the lowest group.
     fn candidate_row(&self, i: u32) -> u32 {
         8 + i * self.spacing

@@ -25,6 +25,7 @@
 use std::path::Path;
 use std::time::Instant;
 
+use moat_dram::hash::fnv1a;
 use moat_dram::{MitigationEngine, Nanos, NullEngine};
 use moat_sim::{Hooks, PerfConfig, PerfSim, SecurityConfig, SecuritySim};
 use moat_telemetry::{log, MetricsRegistry};
@@ -33,7 +34,7 @@ use moat_trackers::registry::{self, EngineSpec, EngineVariant};
 use crate::checkpoint::Checkpoint;
 use crate::faults_cmd::{attack, BATTERY};
 use crate::perfbench::uniform_stream;
-use crate::sweep::{fnv1a, isolate, CellOutcome};
+use crate::sweep::{isolate, CellOutcome};
 use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// Virtual time each security cell simulates.

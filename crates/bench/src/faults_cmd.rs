@@ -26,6 +26,7 @@
 //! sibling cell still prints.
 
 use moat_attacks::{JailbreakAttacker, RatchetAttacker};
+use moat_dram::hash::fnv1a;
 use moat_dram::Nanos;
 use moat_faults::{FaultInjector, FaultPlan, FaultStats};
 use moat_guard::{EngineGuard, RecoveryPlan, RecoveryStats};
@@ -36,7 +37,7 @@ use moat_sim::{
 use moat_telemetry::MetricsRegistry;
 use moat_trackers::registry;
 
-use crate::sweep::{cell_metrics, fnv1a, try_run_cells, CellOutcome};
+use crate::sweep::{cell_metrics, try_run_cells, CellOutcome};
 use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// Virtual time each fault-grid cell simulates (per-boundary fault

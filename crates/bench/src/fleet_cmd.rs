@@ -20,13 +20,13 @@
 
 use std::path::Path;
 
+use moat_dram::hash::fnv1a;
 use moat_fleet::{FleetConfig, FleetFaultPlan, FleetSupervisor, FleetTopology, ShardStore};
 use moat_guard::RecoveryPlan;
 use moat_telemetry::log;
 use moat_trackers::registry;
 
 use crate::checkpoint::Checkpoint;
-use crate::sweep::fnv1a;
 use crate::telemetry_cli::{append_registry, effective_config, take_telemetry_flag};
 
 /// Default shard count (the acceptance-scale topology).

@@ -32,7 +32,7 @@ pub use fleet_cmd::run_fleet_command;
 pub use perf_experiments::{
     fig11, fig12, fig13, fig17, run_perf, table4, table5, table6, table7, PerfLab,
 };
-pub use perfbench::{bench_perf, uniform_stream, PerfBenchReport};
+pub use perfbench::{bench_perf, PerfBenchReport};
 pub use recover_cmd::{recover_sweep, run_recover_command};
 pub use scale::Scale;
 pub use security_experiments::{

@@ -18,7 +18,7 @@
 use std::collections::{HashMap, HashSet};
 
 use moat_analysis::RatchetModel;
-use moat_attacks::{multi_row_kernel, single_row_kernel, tsa_stream};
+use moat_attacks::{multi_row_stream, single_row_stream, tsa_stream};
 use moat_core::{MoatConfig, MoatEngine};
 use moat_dram::{AboLevel, DramConfig, Nanos};
 use moat_sim::{
@@ -571,24 +571,23 @@ pub fn fig17(lab: &mut PerfLab) -> String {
     out
 }
 
-fn attack_loss(stream: &[Request], banks: u16) -> (f64, u64) {
+fn attack_loss<S: RequestStream + Clone>(stream: S, banks: u16) -> (f64, u64) {
     let config = PerfConfig::paper_default().banks(banks);
-    let with =
-        PerfSim::new(config, moat_factory(MoatConfig::paper_default())).run(stream.iter().copied());
+    let with = PerfSim::new(config, moat_factory(MoatConfig::paper_default())).run(stream.clone());
     let base = PerfSim::new(
         config.alerts(false),
         moat_factory(MoatConfig::paper_default()),
     )
-    .run(stream.iter().copied());
+    .run(stream);
     (with.slowdown_vs(&base).max(0.0), with.alerts)
 }
 
 /// Fig. 13: the basic performance-attack kernels.
 pub fn fig13() -> String {
     let mut out = String::from("Fig. 13: basic performance-attack kernels (ATH 64)\n");
-    let (single, _) = attack_loss(&single_row_kernel(30_000, 0, 30_000), 1);
+    let (single, _) = attack_loss(single_row_stream(30_000, 0, 30_000), 1);
     let (multi, _) = attack_loss(
-        &multi_row_kernel(6_000, 0, &[30_000, 30_006, 30_012, 30_018, 30_024]),
+        multi_row_stream(6_000, 0, &[30_000, 30_006, 30_012, 30_018, 30_024]),
         1,
     );
     out.push_str(&format!(
@@ -606,7 +605,7 @@ pub fn fig13() -> String {
 pub fn fig12() -> String {
     let mut out = String::from("Fig. 12: Torrent-of-Staggered-ALERT (TSA)\n");
     for (banks, paper) in [(4u16, 24.0), (17, 52.0)] {
-        let (loss, alerts) = attack_loss(&tsa_stream(banks, 64, 30_000), banks);
+        let (loss, alerts) = attack_loss(tsa_stream(banks, 64, 30_000).into_iter(), banks);
         out.push_str(&format!(
             "  {banks:>2} banks: throughput loss {:.1}% (paper ~{paper}%), {alerts} alerts\n",
             loss * 100.0

@@ -335,9 +335,8 @@ fn json_number(json: &str, key: &str) -> Option<f64> {
 }
 
 /// The canonical hot-path measurement stream: a saturating uniform
-/// round-robin over `banks` banks with Knuth-hashed rows. Shared with the
-/// criterion micro-benchmarks so both measure the same workload.
-pub fn uniform_stream(n: u32, banks: u16) -> impl Iterator<Item = Request> + Clone {
+/// round-robin over `banks` banks with Knuth-hashed rows.
+pub(crate) fn uniform_stream(n: u32, banks: u16) -> impl Iterator<Item = Request> + Clone {
     (0..n).map(move |i| Request {
         gap: Nanos::new(2),
         bank: BankId::new((i % u32::from(banks)) as u16),
@@ -767,12 +766,11 @@ mod tests {
         assert!(json.contains("\"fleet_shards\": 16"));
         assert!(json.contains("\"arena_acts_per_sec\": 18000000"));
         assert!(json.contains("\"arena_cells\": 20"));
-        // Per-phase profile fields: 2 cells x 6 phases, simulated ns.
+        // Per-phase profile fields: 2 cells x 4 phases, simulated ns.
         assert!(json.contains("\"profile_feinting_engine_update_ns\": 6000"));
         assert!(json.contains("\"profile_feinting_refresh_ns\": 3000"));
         assert!(json.contains("\"profile_ratchet_episode_churn_ns\": 5000"));
-        assert!(json.contains("\"profile_ratchet_stream_decode_ns\": 0"));
-        assert_eq!(json.matches(':').count(), 35);
+        assert_eq!(json.matches(':').count(), 31);
         assert!(report.summary().contains("Simulator performance"));
         assert!(report.summary().contains("Where simulated time goes"));
         assert!(report.summary().contains("phase profile feinting"));
@@ -931,14 +929,10 @@ mod tests {
     const SAMPLE_JSON: &str = r#"{
   "profile_feinting_engine_update_ns": 6000,
   "profile_feinting_episode_churn_ns": 0,
-  "profile_feinting_stream_decode_ns": 0,
-  "profile_feinting_prefetch_ns": 0,
   "profile_feinting_refresh_ns": 3000,
   "profile_feinting_idle_ns": 1000,
   "profile_ratchet_engine_update_ns": 5000,
   "profile_ratchet_episode_churn_ns": 5000,
-  "profile_ratchet_stream_decode_ns": 0,
-  "profile_ratchet_prefetch_ns": 0,
   "profile_ratchet_refresh_ns": 0,
   "profile_ratchet_idle_ns": 0,
   "uniform_mono_acts_per_sec": 20000000,

@@ -161,7 +161,7 @@ pub fn run_recover_command(args: &[String]) -> Result<String, String> {
 mod tests {
     use super::*;
     use crate::faults_cmd::{ENGINES, SEU_LADDER};
-    use crate::sweep::fnv1a;
+    use moat_dram::hash::fnv1a;
 
     #[test]
     fn sweep_is_deterministic_and_covers_grid() {

@@ -111,11 +111,6 @@ impl<R> CellOutcome<R> {
             CellOutcome::Failed { .. } => None,
         }
     }
-
-    /// Whether the cell failed both attempts.
-    pub fn is_failed(&self) -> bool {
-        matches!(self, CellOutcome::Failed { .. })
-    }
 }
 
 /// Runs one cell crash-isolated: `run` executes under
@@ -132,17 +127,6 @@ pub(crate) fn isolate<R>(run: impl Fn() -> R) -> CellOutcome<R> {
             message: panic_message(payload),
         },
     }
-}
-
-/// FNV-1a over `bytes`, its offset basis XORed with `seed`: the one hash
-/// behind per-cell fault seeds and checkpoint keys. Stable across
-/// platforms and releases, unlike `std`'s hashers.
-pub(crate) fn fnv1a(seed: u64, bytes: impl IntoIterator<Item = u8>) -> u64 {
-    bytes
-        .into_iter()
-        .fold(0xCBF2_9CE4_8422_2325 ^ seed, |h, b| {
-            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01B3)
-        })
 }
 
 /// Runs independent experiment cells in parallel with crash isolation,
@@ -298,6 +282,7 @@ pub fn run_sweep(lab: &mut PerfLab, cells: &[SweepCell]) -> (Vec<SweepOutcome>, 
 mod tests {
     use super::*;
     use crate::scale::Scale;
+    use moat_dram::hash::fnv1a;
     use moat_workloads::PROFILES;
 
     #[test]

@@ -12,7 +12,8 @@
 //! * the [`SecurityReport`](moat_sim::SecurityReport);
 //! * [`FaultInjector::stats`];
 //! * [`EngineGuard::stats`];
-//! * the per-phase profile.
+//! * the per-phase profile, as the name, units and nanoseconds of each
+//!   phase that recorded any (the phases a summary line shows).
 //!
 //! The grid is {per-step, semi-scripted} × {MOAT, Panopticon} ×
 //! {hammer, round-robin, Feinting}. A digest may only change together
@@ -27,7 +28,7 @@ use moat_sim::{
     hammer_attacker, round_robin_attacker, Attacker, Hooks, SecurityConfig, SecuritySim,
     SemiScriptedAttacker,
 };
-use moat_telemetry::PhaseProfile;
+use moat_telemetry::{PhaseProfile, SimPhase};
 use moat_trackers::{PanopticonConfig, PanopticonEngine};
 
 const DURATION: Nanos = Nanos::from_millis(2);
@@ -96,7 +97,14 @@ fn digest<A: Attacker + SemiScriptedAttacker>(
         format!("{report:?}"),
         format!("{:?}", faults.stats()),
         format!("{:?}", guard.stats()),
-        format!("{profile:?}"),
+        SimPhase::ALL
+            .iter()
+            .filter(|&&phase| profile.units(phase) != 0 || profile.ns(phase) != 0)
+            .map(|&phase| {
+                let (units, ns) = (profile.units(phase), profile.ns(phase));
+                format!("{} {units} {ns}\n", phase.name())
+            })
+            .collect(),
     ]
     .iter()
     .fold(0xcbf2_9ce4_8422_2325, |h, part| fnv(h, part))
@@ -117,18 +125,18 @@ fn cell(mode: Mode, engine_name: &str, attack: &str) -> u64 {
 #[test]
 fn armed_hook_outputs_are_pinned() {
     let pins: [(Mode, &str, &str, u64); 12] = [
-        (Mode::PerStep, "moat", "hammer", 0x1758_8356_85ca_3783),
-        (Mode::PerStep, "moat", "round-robin", 0xc5c4_6eb1_7c18_eed6),
-        (Mode::PerStep, "moat", "feinting", 0x121f_d0b2_dec1_0b09),
-        (Mode::PerStep, "pano", "hammer", 0x25f8_bf4a_aecb_1a31),
-        (Mode::PerStep, "pano", "round-robin", 0x6dbf_be9b_c324_ddc1),
-        (Mode::PerStep, "pano", "feinting", 0x6dc0_214f_11fb_71c7),
-        (Mode::Semi, "moat", "hammer", 0x53f6_ddbb_552c_9c2f),
-        (Mode::Semi, "moat", "round-robin", 0x6a01_7ada_eb45_1568),
-        (Mode::Semi, "moat", "feinting", 0x8c44_f749_9315_12d8),
-        (Mode::Semi, "pano", "hammer", 0x26eb_a9a4_281d_d5c7),
-        (Mode::Semi, "pano", "round-robin", 0xa364_7c48_8905_0470),
-        (Mode::Semi, "pano", "feinting", 0x9edf_ca6a_7b28_187a),
+        (Mode::PerStep, "moat", "hammer", 0xd341_5538_a70f_e86a),
+        (Mode::PerStep, "moat", "round-robin", 0xc0af_76c1_752e_7f93),
+        (Mode::PerStep, "moat", "feinting", 0x2cf3_f578_2ec2_86ac),
+        (Mode::PerStep, "pano", "hammer", 0xea1d_e102_0b64_df08),
+        (Mode::PerStep, "pano", "round-robin", 0x5436_f9f7_b3b8_f3c8),
+        (Mode::PerStep, "pano", "feinting", 0x93eb_95b1_90c6_1130),
+        (Mode::Semi, "moat", "hammer", 0xbc5c_c233_b9e2_699e),
+        (Mode::Semi, "moat", "round-robin", 0xf260_94cb_8e70_dbc7),
+        (Mode::Semi, "moat", "feinting", 0x0138_65cb_3007_cdcb),
+        (Mode::Semi, "pano", "hammer", 0xfaf7_1358_2416_51da),
+        (Mode::Semi, "pano", "round-robin", 0xd78f_2f54_2916_7089),
+        (Mode::Semi, "pano", "feinting", 0xce36_308c_cd0a_506f),
     ];
     let mut drift = Vec::new();
     for (mode, engine_name, attack, want) in pins {

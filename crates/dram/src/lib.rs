@@ -38,9 +38,9 @@ mod bank;
 mod config;
 pub mod env;
 mod error;
+pub mod hash;
 mod hint;
 mod ledger;
-mod mapping;
 mod mitigation;
 mod refresh;
 pub mod testing;
@@ -53,7 +53,6 @@ pub use config::{DramConfig, DramConfigBuilder, RefreshOrder};
 pub use error::DramError;
 pub use hint::prefetch_read;
 pub use ledger::SecurityLedger;
-pub use mapping::{AddressMapping, DramAddress};
 pub use mitigation::{
     EngineFault, IntegrityReport, MitigationEngine, NullEngine, RefMitigationMode,
 };

@@ -1,8 +1,7 @@
 //! Property-based tests for the DRAM substrate invariants.
 
 use moat_dram::{
-    AboLevel, AboProtocol, AddressMapping, Bank, DramConfig, DramTiming, Nanos, RowId,
-    SecurityLedger,
+    AboLevel, AboProtocol, Bank, DramConfig, DramTiming, Nanos, RowId, SecurityLedger,
 };
 use proptest::prelude::*;
 
@@ -170,14 +169,6 @@ proptest! {
         for r in 0..256u32 {
             prop_assert_eq!(bank.counter(RowId::new(r)).get(), truth[r as usize], "row {}", r);
         }
-    }
-
-    /// The address mapping is a bijection on its address space.
-    #[test]
-    fn mapping_roundtrips(addr in 0u64..(1 << 35)) {
-        let map = AddressMapping::new(&DramConfig::paper_baseline());
-        let coord = map.decode(addr);
-        prop_assert_eq!(map.encode(coord), addr & map.address_mask());
     }
 
     /// The ABO protocol never allows two ALERT assertions separated by

@@ -16,18 +16,14 @@
 //! `seed=7,crash=0.05,stall=0.01,seu=1e-6`.
 
 use moat_dram::env;
-use moat_faults::{FaultPlan, SplitMix64};
+use moat_dram::hash::{fnv1a, SplitMix64};
+use moat_faults::FaultPlan;
 use std::fmt;
 
-/// Hashes a shard index into a seed perturbation (FNV-1a, the same
-/// derivation the sweep harness uses for per-cell fault seeds).
+/// Hashes a shard index into a seed perturbation: FNV-1a over its
+/// little-endian bytes, `base` XORed into the basis.
 pub fn shard_seed(base: u64, shard_index: u32) -> u64 {
-    let mut h: u64 = 0xCBF2_9CE4_8422_2325 ^ base;
-    for byte in shard_index.to_le_bytes() {
-        h ^= u64::from(byte);
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
+    fnv1a(base, shard_index.to_le_bytes())
 }
 
 /// A seeded plan of fleet-level failures layered over an engine-level

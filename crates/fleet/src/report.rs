@@ -152,6 +152,10 @@ pub struct FleetReport {
     pub incidents: Vec<Incident>,
 }
 
+/// Max-pressure level above which a shard logs a blast-radius incident
+/// (clean MOAT keeps hammer pressure below 99).
+const BLAST_THRESHOLD: u32 = 256;
+
 impl FleetReport {
     /// Merges shard outcomes (already sorted by shard index) into the
     /// fleet report.
@@ -253,14 +257,14 @@ impl FleetReport {
                     detail: "completed over latency budget".to_string(),
                 });
             }
-            if r.max_pressure > config.blast_threshold {
+            if r.max_pressure > BLAST_THRESHOLD {
                 report.incidents.push(Incident {
                     kind: "blast-radius",
                     shard_index: shard.index,
                     shard: shard.to_string(),
                     detail: format!(
-                        "max pressure {} breached threshold {}",
-                        r.max_pressure, config.blast_threshold
+                        "max pressure {} breached threshold {BLAST_THRESHOLD}",
+                        r.max_pressure
                     ),
                 });
             }

@@ -1,11 +1,11 @@
 //! The self-healing shard supervisor.
 //!
 //! Every shard attempt runs on its own worker thread under
-//! `catch_unwind`, watched by a deadline: the supervisor waits
-//! [`FleetConfig::deadline`] for the attempt's result and treats
-//! silence as a failure exactly like a panic. Failures retry under the
-//! shared deterministic [`RetryPolicy`]; a shard that exhausts its
-//! attempts is **quarantined** — its coverage is marked degraded in the
+//! `catch_unwind`, watched by a deadline: the supervisor waits 2 s for
+//! the attempt's result and treats silence as a failure exactly like a
+//! panic. Failures retry under the shared deterministic
+//! [`RetryPolicy`]; a shard that exhausts its attempts is
+//! **quarantined** — its coverage is marked degraded in the
 //! merged report and an incident is logged, but its siblings and the
 //! run itself complete. The state machine per shard:
 //!
@@ -51,15 +51,8 @@ pub struct FleetConfig {
     pub acts_per_tenant: u32,
     /// Master seed for tenant streams and fault draws.
     pub seed: u64,
-    /// Watchdog deadline per shard attempt.
-    pub deadline: Duration,
-    /// Injected latency for a slow-marked shard.
-    pub slow_latency: Duration,
     /// Virtual duration of each shard's security-sim adversary run.
     pub security_window: Nanos,
-    /// Max-pressure level above which a shard logs a blast-radius
-    /// incident (clean MOAT keeps hammer pressure below 99).
-    pub blast_threshold: u32,
     /// Retry policy for failed shard attempts.
     pub retry: RetryPolicy,
     /// Fleet- and engine-level fault injection.
@@ -80,19 +73,15 @@ pub struct FleetConfig {
 }
 
 impl FleetConfig {
-    /// A config with supervisor defaults: 2 s watchdog, 25 ms slow
-    /// latency, 1 ms security window, blast threshold 256, the fleet
-    /// retry policy, and no fault injection.
+    /// A config with supervisor defaults: 1 ms security window, the
+    /// fleet retry policy, and no fault injection.
     pub fn new(topology: FleetTopology, tenants: u32, acts_per_tenant: u32, seed: u64) -> Self {
         FleetConfig {
             topology,
             tenants,
             acts_per_tenant,
             seed,
-            deadline: Duration::from_secs(2),
-            slow_latency: Duration::from_millis(25),
             security_window: Nanos::from_millis(1),
-            blast_threshold: 256,
             retry: RetryPolicy::fleet_default(),
             faults: FleetFaultPlan::none(seed),
             recovery: None,
@@ -320,8 +309,14 @@ fn settled(attempts: u32) -> ShardState {
     }
 }
 
+/// Watchdog deadline per shard attempt.
+const DEADLINE: Duration = Duration::from_secs(2);
+
+/// Injected latency for a slow-marked shard.
+const SLOW_LATENCY: Duration = Duration::from_millis(25);
+
 /// One watched attempt: the shard body runs on a dedicated thread; the
-/// supervisor waits at most [`FleetConfig::deadline`] for its verdict.
+/// supervisor waits at most [`DEADLINE`] for its verdict.
 /// A panic or a timeout is the attempt's `Err` message. A timed-out
 /// worker is cancelled via a shared flag and detached — a genuinely
 /// wedged worker cannot block its supervisor.
@@ -345,14 +340,14 @@ fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Result<Sha
                 panic!("stalled shard cancelled by watchdog");
             }
             if fault.slow {
-                std::thread::sleep(config.slow_latency);
+                std::thread::sleep(SLOW_LATENCY);
             }
             run_shard(&config, shard, &fault, attempt)
         }));
         let _ = tx.send(result.map_err(panic_message));
     });
 
-    match rx.recv_timeout(config.deadline) {
+    match rx.recv_timeout(DEADLINE) {
         Ok(result) => {
             let _ = handle.join();
             result
@@ -362,7 +357,7 @@ fn run_attempt(config: &FleetConfig, shard: ShardId, attempt: u32) -> Result<Sha
             // Deliberately do not join: the worker may be wedged beyond
             // the cancellation point. It exits on its own or at process
             // end; the attempt is already charged as failed.
-            Err(format!("watchdog deadline {:?} exceeded", config.deadline))
+            Err(format!("watchdog deadline {DEADLINE:?} exceeded"))
         }
     }
 }

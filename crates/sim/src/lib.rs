@@ -8,8 +8,10 @@
 //!   (Fig. 7), and the refresh-postponement attack (Fig. 16). It has two
 //!   loops: the per-step reference [`SecuritySim::run`] and the
 //!   event-horizon [`SecuritySim::run_semi_scripted`], which also runs
-//!   every [`ScriptedAttacker`]. Their `_with` forms take a [`Hooks`]
-//!   stack of fault, guard and telemetry layers.
+//!   every [`ScriptedAttacker`]. [`Scripted`] is the per-step form of any
+//!   semi-scripted attacker, the reference the event-horizon loop is
+//!   tested against. Both loops' `_with` forms take a [`Hooks`] stack
+//!   of fault, guard and telemetry layers.
 //! * [`PerfSim`] — a DDR5 sub-channel of banks fed by a request stream,
 //!   measuring completion time, ALERT rates, and mitigation counts. Used
 //!   for Fig. 11, Tables 5–7, Fig. 17, and the performance attacks of §7.
@@ -35,8 +37,6 @@
 
 mod budget;
 mod fault_hook;
-mod faw;
-mod frontend;
 mod guard_hook;
 mod hooks;
 mod perf;
@@ -45,18 +45,16 @@ mod unit;
 
 pub use budget::SlotBudget;
 pub use fault_hook::{FaultHook, NoFaults};
+pub use guard_hook::{GuardHook, NoGuard};
+pub use hooks::Hooks;
 // The telemetry seam lives in `moat-telemetry` (it needs nothing from
 // the simulators); re-exported here so every layer of `Hooks` is
 // importable from one place.
-pub use faw::FawTracker;
-pub use frontend::{hammer_address, AddressAccess, AddressStream};
-pub use guard_hook::{GuardHook, NoGuard};
-pub use hooks::Hooks;
 pub use moat_telemetry::{NoTelemetry, SimPhase, TelemetryHook};
 pub use perf::{PerfConfig, PerfReport, PerfSim, Request, RequestStream, DEFAULT_CHUNK};
 pub use security::{
     hammer_attacker, round_robin_attacker, AttackStep, Attacker, DefenseView, HammerAttacker,
     RoundRobinAttacker, RunGrant, Scripted, ScriptedAttacker, SecurityConfig, SecurityReport,
-    SecuritySim, SemiRun, SemiScriptedAttacker, SemiStepped,
+    SecuritySim, SemiRun, SemiScriptedAttacker,
 };
 pub use unit::{BankUnit, BankUnitStats, BankUnitView};

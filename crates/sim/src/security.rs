@@ -123,38 +123,35 @@ pub trait ScriptedAttacker {
     }
 }
 
-/// Adapter running a [`ScriptedAttacker`] as an adaptive [`Attacker`]:
-/// one scripted row per step, [`AttackStep::Stop`] at exhaustion. This is
-/// the per-step reference form of a script — the equivalence oracle the
-/// event-horizon loop is regression-tested against.
+/// Adapter running any [`SemiScriptedAttacker`] as a per-step
+/// [`Attacker`]: every step is a grant of exactly one slot. A script (a
+/// [`ScriptedAttacker`], semi-scripted through its blanket impl) thus
+/// takes one row per step and stops at exhaustion. This is the per-step
+/// reference form the event-horizon loop is regression-tested against.
 #[derive(Debug)]
 pub struct Scripted<A> {
     inner: A,
     buf: Vec<RowId>,
 }
 
-impl<A: ScriptedAttacker> Scripted<A> {
-    /// Wraps a script.
+impl<A: SemiScriptedAttacker> Scripted<A> {
+    /// Wraps a semi-scripted attacker.
     pub fn new(inner: A) -> Self {
         Scripted {
             inner,
             buf: Vec::with_capacity(1),
         }
     }
-
-    /// Returns the wrapped script.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
 }
 
-impl<A: ScriptedAttacker> Attacker for Scripted<A> {
-    fn step(&mut self, _view: &DefenseView<'_>) -> AttackStep {
+impl<A: SemiScriptedAttacker> Attacker for Scripted<A> {
+    fn step(&mut self, view: &DefenseView<'_>) -> AttackStep {
         self.buf.clear();
-        if self.inner.next_run(&mut self.buf, 1) == 0 {
-            AttackStep::Stop
-        } else {
-            AttackStep::Act(self.buf[0])
+        match self.inner.publish(view, &mut self.buf, RunGrant::SINGLE) {
+            SemiRun::Acts(_) => AttackStep::Act(self.buf[0]),
+            SemiRun::Idle(_) => AttackStep::Idle,
+            SemiRun::PostponeRef => AttackStep::PostponeRef,
+            SemiRun::Stop => AttackStep::Stop,
         }
     }
 
@@ -279,47 +276,6 @@ impl<A: ScriptedAttacker + ?Sized> SemiScriptedAttacker for A {
 
     fn name(&self) -> Cow<'_, str> {
         ScriptedAttacker::name(self)
-    }
-}
-
-/// Adapter running a [`SemiScriptedAttacker`] as a per-step [`Attacker`]:
-/// every step is a grant of exactly one slot. This is the per-step
-/// reference form of a semi-script — handy for equivalence tests and for
-/// mixing a semi-scripted attacker into [`SecuritySim::run`].
-#[derive(Debug)]
-pub struct SemiStepped<A> {
-    inner: A,
-    buf: Vec<RowId>,
-}
-
-impl<A: SemiScriptedAttacker> SemiStepped<A> {
-    /// Wraps a semi-scripted attacker.
-    pub fn new(inner: A) -> Self {
-        SemiStepped {
-            inner,
-            buf: Vec::with_capacity(1),
-        }
-    }
-
-    /// Returns the wrapped attacker.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-}
-
-impl<A: SemiScriptedAttacker> Attacker for SemiStepped<A> {
-    fn step(&mut self, view: &DefenseView<'_>) -> AttackStep {
-        self.buf.clear();
-        match self.inner.publish(view, &mut self.buf, RunGrant::SINGLE) {
-            SemiRun::Acts(_) => AttackStep::Act(self.buf[0]),
-            SemiRun::Idle(_) => AttackStep::Idle,
-            SemiRun::PostponeRef => AttackStep::PostponeRef,
-            SemiRun::Stop => AttackStep::Stop,
-        }
-    }
-
-    fn name(&self) -> Cow<'_, str> {
-        self.inner.name()
     }
 }
 
@@ -1475,10 +1431,7 @@ mod tests {
             left: 5_000,
         };
         let mut per_step = moat_sim();
-        let expect = per_step.run(
-            &mut SemiStepped::new(attacker.clone()),
-            Nanos::from_millis(4),
-        );
+        let expect = per_step.run(&mut Scripted::new(attacker.clone()), Nanos::from_millis(4));
         let mut semi = moat_sim();
         let got = semi.run_semi_scripted(&mut attacker.clone(), Nanos::from_millis(4));
         assert_eq!(got, expect);
@@ -1529,10 +1482,7 @@ mod tests {
             left: 3_000,
         };
         let mut per_step = mk();
-        let expect = per_step.run(
-            &mut SemiStepped::new(attacker.clone()),
-            Nanos::from_millis(2),
-        );
+        let expect = per_step.run(&mut Scripted::new(attacker.clone()), Nanos::from_millis(2));
         let mut semi = mk();
         let got = semi.run_semi_scripted(&mut attacker.clone(), Nanos::from_millis(2));
         assert_eq!(got, expect);

@@ -19,13 +19,6 @@ pub enum SimPhase {
     EngineUpdate,
     /// ALERT episode churn: RFM drains and their tRFC-class stalls.
     EpisodeChurn,
-    /// Pulling and decoding the request stream. No simulator loop
-    /// attributes time here; the phase keeps its place in the fixed
-    /// render order.
-    StreamDecode,
-    /// Row-hint prefetch issued ahead of the chunk. Like
-    /// [`StreamDecode`](Self::StreamDecode), never attributed.
-    Prefetch,
     /// Periodic refresh (REF) windows.
     Refresh,
     /// Simulated time with no work attributed (attacker idles, slack).
@@ -34,14 +27,12 @@ pub enum SimPhase {
 
 impl SimPhase {
     /// Number of phases (array-profile width).
-    pub const COUNT: usize = 6;
+    pub const COUNT: usize = 4;
 
     /// Every phase, in fixed render order.
     pub const ALL: [SimPhase; SimPhase::COUNT] = [
         SimPhase::EngineUpdate,
         SimPhase::EpisodeChurn,
-        SimPhase::StreamDecode,
-        SimPhase::Prefetch,
         SimPhase::Refresh,
         SimPhase::Idle,
     ];
@@ -51,10 +42,8 @@ impl SimPhase {
         match self {
             SimPhase::EngineUpdate => 0,
             SimPhase::EpisodeChurn => 1,
-            SimPhase::StreamDecode => 2,
-            SimPhase::Prefetch => 3,
-            SimPhase::Refresh => 4,
-            SimPhase::Idle => 5,
+            SimPhase::Refresh => 2,
+            SimPhase::Idle => 3,
         }
     }
 
@@ -63,8 +52,6 @@ impl SimPhase {
         match self {
             SimPhase::EngineUpdate => "engine-update",
             SimPhase::EpisodeChurn => "episode-churn",
-            SimPhase::StreamDecode => "stream-decode",
-            SimPhase::Prefetch => "prefetch",
             SimPhase::Refresh => "refresh",
             SimPhase::Idle => "idle",
         }

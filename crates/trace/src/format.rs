@@ -38,6 +38,7 @@ use std::fs::File;
 use std::io::{self, BufWriter, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use moat_dram::hash::{fnv1a_continue, FNV_OFFSET, FNV_PRIME};
 use moat_dram::{BankId, Nanos, RowId};
 use moat_sim::{Request, RequestStream, DEFAULT_CHUNK};
 
@@ -52,9 +53,6 @@ pub const HEADER_BYTES: usize = 48;
 
 /// Record size in bytes.
 pub const RECORD_BYTES: usize = 16;
-
-const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-const FNV_PRIME: u64 = 0x100000001b3;
 
 /// The decoded fixed-width header of a v2 trace.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,9 +165,7 @@ impl Fingerprint {
 
     /// Folds raw bytes in.
     pub fn write_bytes(&mut self, bytes: &[u8]) -> &mut Self {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(FNV_PRIME);
-        }
+        self.0 = fnv1a_continue(self.0, bytes.iter().copied());
         self
     }
 

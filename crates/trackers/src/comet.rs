@@ -15,6 +15,7 @@
 use core::any::Any;
 use core::ops::Range;
 
+use moat_dram::hash::fnv1a;
 use moat_dram::{ActCount, EngineFault, MitigationEngine, RowId};
 
 /// Configuration of a CoMeT bank tracker.
@@ -147,11 +148,7 @@ impl CometEngine {
     #[inline]
     fn index(&self, depth: usize, row: RowId) -> usize {
         // FNV-1a over the row index, salted per depth.
-        let mut h = 0xcbf2_9ce4_8422_2325u64 ^ HASH_SEEDS[depth];
-        for byte in row.index().to_le_bytes() {
-            h ^= u64::from(byte);
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        }
+        let h = fnv1a(HASH_SEEDS[depth], row.index().to_le_bytes());
         (h % self.config.width as u64) as usize
     }
 

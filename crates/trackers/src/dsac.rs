@@ -17,6 +17,7 @@
 use core::any::Any;
 use core::ops::Range;
 
+use moat_dram::hash::SplitMix64;
 use moat_dram::{ActCount, EngineFault, MitigationEngine, RowId};
 
 /// Configuration of a DSAC bank tracker.
@@ -87,8 +88,8 @@ pub struct DsacEngine {
     /// Cached display name (`name()` is allocation-free).
     name: String,
     entries: Vec<(RowId, u32)>,
-    /// SplitMix64 state of the replacement-draw stream.
-    rng_state: u64,
+    /// The replacement-draw stream.
+    rng: SplitMix64,
     /// Incrementally maintained maximum entry count.
     max_count: u32,
     alert_pending: bool,
@@ -109,7 +110,7 @@ impl DsacEngine {
             config,
             name: format!("dsac-{}e-ath{}", config.entries, config.ath),
             entries: Vec::with_capacity(config.entries),
-            rng_state: config.seed,
+            rng: SplitMix64::new(config.seed),
             max_count: 0,
             alert_pending: false,
             rejected_replacements: 0,
@@ -129,15 +130,6 @@ impl DsacEngine {
     /// Misses that lost the replacement coin flip so far.
     pub fn rejected_replacements(&self) -> u64 {
         self.rejected_replacements
-    }
-
-    /// One SplitMix64 draw.
-    fn next_draw(&mut self) -> u64 {
-        self.rng_state = self.rng_state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng_state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
     }
 
     fn recompute(&mut self) {
@@ -179,7 +171,7 @@ impl MitigationEngine for DsacEngine {
                 .map(|(i, &(_, c))| (i, c))
                 .expect("table is full, hence non-empty");
             let span = u64::from(min) + 1;
-            if self.next_draw().is_multiple_of(span) {
+            if self.rng.next_u64().is_multiple_of(span) {
                 let new_count = min.saturating_add(1);
                 self.entries[idx] = (row, new_count);
                 if new_count > self.max_count {

@@ -12,6 +12,7 @@
 //! histogram plus the rate are precisely the statistics MOAT's behaviour
 //! depends on (see the crate docs).
 
+use moat_dram::hash::fnv1a;
 use moat_dram::{BankId, DramConfig, Nanos, RowId};
 use moat_sim::{Request, RequestStream, DEFAULT_CHUNK};
 use rand::rngs::StdRng;
@@ -516,7 +517,7 @@ impl WorkloadStream {
         self.last_time = 0;
         self.total_emitted = 0;
 
-        let mut rng = StdRng::seed_from_u64(config.seed ^ hash_name(profile.name));
+        let mut rng = StdRng::seed_from_u64(config.seed ^ fnv1a(0, profile.name.bytes()));
         let trefw_ns = dram.timing.t_refw.as_u64();
         let budget = Self::acts_per_bank_per_window(profile, dram);
         // One bit per row of a bank: the rows one bank-window has used.
@@ -687,12 +688,6 @@ impl RequestStream for WorkloadStream {
         self.total_emitted += buf.len() as u64;
         buf.len()
     }
-}
-
-fn hash_name(name: &str) -> u64 {
-    name.bytes().fold(0xcbf29ce484222325, |h, b| {
-        (h ^ u64::from(b)).wrapping_mul(0x100000001b3)
-    })
 }
 
 /// Measures the per-bank-per-window activation histogram of a stream —

@@ -304,4 +304,18 @@ mod tests {
             }
         }
     }
+
+    #[test]
+    fn trace_key_is_pinned() {
+        // Every recorded trace, the `--full` set and CI's trace cache
+        // included, is filed under this fingerprint: a change to the
+        // hash or to any `DramConfig` field's `Debug` form re-keys them
+        // all, so it must come with a `GENERATOR_VERSION` bump.
+        let key = trace_key(
+            WorkloadProfile::by_name("roms").unwrap(),
+            &DramConfig::paper_baseline(),
+            GeneratorConfig::scaled(),
+        );
+        assert_eq!(key.fingerprint, 0x45d5_77c2_c287_5de7);
+    }
 }
