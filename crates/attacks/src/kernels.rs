@@ -37,11 +37,6 @@ impl KernelStream {
             remaining: total,
         }
     }
-
-    /// Requests still to be emitted.
-    pub fn remaining(&self) -> u64 {
-        self.remaining
-    }
 }
 
 impl RequestStream for KernelStream {
@@ -184,13 +179,13 @@ mod tests {
     #[test]
     fn chunked_and_per_request_drains_emit_identical_sequences() {
         let rows = [10u32, 20, 30];
+        // Each stream with the request count its constructor promises.
         let streams = [
-            single_row_stream(100, 1, 7),
-            multi_row_stream(40, 0, &rows),
-            sync_multibank_stream(10, 3, &rows),
+            (single_row_stream(100, 1, 7), 100),
+            (multi_row_stream(40, 0, &rows), 40 * 3),
+            (sync_multibank_stream(10, 3, &rows), 10 * 3 * 3),
         ];
-        for stream in streams {
-            let total = stream.remaining() as usize;
+        for (stream, total) in streams {
             let mut single = stream.clone();
             let want: Vec<Request> = std::iter::from_fn(|| single.next_request()).collect();
             assert_eq!(want.len(), total);
@@ -206,7 +201,7 @@ mod tests {
                     }
                     let n = s.next_chunk(&mut buf);
                     got.extend_from_slice(&buf);
-                    if n == 0 && s.remaining() == 0 {
+                    if n == 0 {
                         break;
                     }
                 }

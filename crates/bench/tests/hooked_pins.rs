@@ -15,13 +15,17 @@
 //! * the per-phase profile, as the name, units and nanoseconds of each
 //!   phase that recorded any (the phases a summary line shows).
 //!
-//! The grid is {per-step, semi-scripted} × {MOAT, Panopticon} ×
-//! {hammer, round-robin, Feinting}. A digest may only change together
-//! with a deliberate change to what the hooks observe or inject.
+//! The grid is {L1, L4} × {per-step, semi-scripted} × {MOAT, Panopticon}
+//! × {hammer, round-robin, Feinting}. At L1 an ALERT episode is one RFM;
+//! at L4 it is four, so the L4 rows also pin where the hooks run inside
+//! an episode: the per-step loop keeps a boundary between its RFMs, and
+//! the semi-scripted loop resolves the episode in one step. A digest may
+//! only change together with a deliberate change to what the hooks
+//! observe or inject.
 
 use moat_attacks::FeintingAttacker;
 use moat_core::{MoatConfig, MoatEngine};
-use moat_dram::{MitigationEngine, Nanos};
+use moat_dram::{AboLevel, MitigationEngine, Nanos};
 use moat_faults::{FaultInjector, FaultPlan};
 use moat_guard::{EngineGuard, RecoveryPlan};
 use moat_sim::{
@@ -71,11 +75,15 @@ fn fnv(hash: u64, text: &str) -> u64 {
 
 /// Runs one armed cell and digests its four outputs.
 fn digest<A: Attacker + SemiScriptedAttacker>(
+    level: AboLevel,
     mode: Mode,
     engine_name: &str,
     mut attacker: A,
 ) -> u64 {
-    let config = SecurityConfig::paper_default();
+    let config = SecurityConfig {
+        abo_level: level,
+        ..SecurityConfig::paper_default()
+    };
     let mut sim = SecuritySim::new(config, engine(engine_name));
     let mut faults = FaultInjector::new(PLAN, config.dram.rows_per_bank);
     let mut guard = EngineGuard::new(RECOVERY);
@@ -110,40 +118,55 @@ fn digest<A: Attacker + SemiScriptedAttacker>(
     .fold(0xcbf2_9ce4_8422_2325, |h, part| fnv(h, part))
 }
 
-fn cell(mode: Mode, engine_name: &str, attack: &str) -> u64 {
+fn cell(level: AboLevel, mode: Mode, engine_name: &str, attack: &str) -> u64 {
     match attack {
-        "hammer" => digest(mode, engine_name, hammer_attacker(5)),
+        "hammer" => digest(level, mode, engine_name, hammer_attacker(5)),
         "round-robin" => digest(
+            level,
             mode,
             engine_name,
             round_robin_attacker((0..16).map(|i| 2_000 + 2 * i).collect()),
         ),
-        _ => digest(mode, engine_name, FeintingAttacker::new(16, 1_000)),
+        _ => digest(level, mode, engine_name, FeintingAttacker::new(16, 1_000)),
     }
 }
 
 #[test]
 fn armed_hook_outputs_are_pinned() {
-    let pins: [(Mode, &str, &str, u64); 12] = [
-        (Mode::PerStep, "moat", "hammer", 0xd341_5538_a70f_e86a),
-        (Mode::PerStep, "moat", "round-robin", 0xc0af_76c1_752e_7f93),
-        (Mode::PerStep, "moat", "feinting", 0x2cf3_f578_2ec2_86ac),
-        (Mode::PerStep, "pano", "hammer", 0xea1d_e102_0b64_df08),
-        (Mode::PerStep, "pano", "round-robin", 0x5436_f9f7_b3b8_f3c8),
-        (Mode::PerStep, "pano", "feinting", 0x93eb_95b1_90c6_1130),
-        (Mode::Semi, "moat", "hammer", 0xbc5c_c233_b9e2_699e),
-        (Mode::Semi, "moat", "round-robin", 0xf260_94cb_8e70_dbc7),
-        (Mode::Semi, "moat", "feinting", 0x0138_65cb_3007_cdcb),
-        (Mode::Semi, "pano", "hammer", 0xfaf7_1358_2416_51da),
-        (Mode::Semi, "pano", "round-robin", 0xd78f_2f54_2916_7089),
-        (Mode::Semi, "pano", "feinting", 0xce36_308c_cd0a_506f),
+    use AboLevel::{L1, L4};
+    use Mode::{PerStep, Semi};
+    let pins: [(AboLevel, Mode, &str, &str, u64); 24] = [
+        (L1, PerStep, "moat", "hammer", 0xd341_5538_a70f_e86a),
+        (L1, PerStep, "moat", "round-robin", 0xc0af_76c1_752e_7f93),
+        (L1, PerStep, "moat", "feinting", 0x2cf3_f578_2ec2_86ac),
+        (L1, PerStep, "pano", "hammer", 0xea1d_e102_0b64_df08),
+        (L1, PerStep, "pano", "round-robin", 0x5436_f9f7_b3b8_f3c8),
+        (L1, PerStep, "pano", "feinting", 0x93eb_95b1_90c6_1130),
+        (L1, Semi, "moat", "hammer", 0xbc5c_c233_b9e2_699e),
+        (L1, Semi, "moat", "round-robin", 0xf260_94cb_8e70_dbc7),
+        (L1, Semi, "moat", "feinting", 0x0138_65cb_3007_cdcb),
+        (L1, Semi, "pano", "hammer", 0xfaf7_1358_2416_51da),
+        (L1, Semi, "pano", "round-robin", 0xd78f_2f54_2916_7089),
+        (L1, Semi, "pano", "feinting", 0xce36_308c_cd0a_506f),
+        (L4, PerStep, "moat", "hammer", 0x248c_a1c3_3e8b_fe02),
+        (L4, PerStep, "moat", "round-robin", 0x4c29_6fcf_95e6_a148),
+        (L4, PerStep, "moat", "feinting", 0xb67c_ed3a_e4ce_9c63),
+        (L4, PerStep, "pano", "hammer", 0x447b_a9ea_8bfc_5208),
+        (L4, PerStep, "pano", "round-robin", 0xbf4b_3ca2_9ca1_7a90),
+        (L4, PerStep, "pano", "feinting", 0x6286_8bc5_b6ae_1b4c),
+        (L4, Semi, "moat", "hammer", 0x941e_f472_72a6_71cb),
+        (L4, Semi, "moat", "round-robin", 0x744a_77f4_e33f_cece),
+        (L4, Semi, "moat", "feinting", 0x59c9_5e51_d190_7f37),
+        (L4, Semi, "pano", "hammer", 0xdc80_e159_8bed_c118),
+        (L4, Semi, "pano", "round-robin", 0x1462_d43f_1629_32e0),
+        (L4, Semi, "pano", "feinting", 0xd671_bd51_2748_60f5),
     ];
     let mut drift = Vec::new();
-    for (mode, engine_name, attack, want) in pins {
-        let got = cell(mode, engine_name, attack);
+    for (level, mode, engine_name, attack, want) in pins {
+        let got = cell(level, mode, engine_name, attack);
         if got != want {
             drift.push(format!(
-                "{mode:?}/{engine_name}/{attack}: {got:#018x} (pinned {want:#018x})"
+                "{level}/{mode:?}/{engine_name}/{attack}: {got:#018x} (pinned {want:#018x})"
             ));
         }
     }

@@ -63,56 +63,6 @@ impl fmt::Display for AboLevel {
     }
 }
 
-/// The pre-resolved arithmetic of one complete ALERT episode: assert →
-/// 180 ns activity window → stall → `L` back-to-back RFMs.
-///
-/// Both simulators resolve episode boundaries against this schedule
-/// instead of stepping the [`AboProtocol`] through `L` individual
-/// [`start_rfm`](AboProtocol::start_rfm) round-trips: once the activity
-/// window has closed, the whole RFM phase is a single addition (see
-/// [`AboProtocol::complete_episode`]), bit-identical to the stepped form.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EpisodeSchedule {
-    /// Normal-operation window after assertion (180 ns).
-    act_window: Nanos,
-    /// RFMs issued per episode (the level `L`).
-    rfms: u8,
-    /// Total stall time of the RFM phase: `L` × tRFM.
-    rfm_total: Nanos,
-}
-
-impl EpisodeSchedule {
-    /// Pre-resolves the episode arithmetic for `level` under `timing`.
-    pub const fn new(level: AboLevel, timing: DramTiming) -> Self {
-        EpisodeSchedule {
-            act_window: timing.t_abo_act_window,
-            rfms: level.as_u8(),
-            rfm_total: Nanos::new(timing.t_rfm.as_u64() * level.as_u8() as u64),
-        }
-    }
-
-    /// The stall point of an episode asserted at `assert_at`.
-    pub fn stall_at(&self, assert_at: Nanos) -> Nanos {
-        assert_at + self.act_window
-    }
-
-    /// Completion time of the RFM phase when the stall begins at
-    /// `stall_start`.
-    pub fn done_at(&self, stall_start: Nanos) -> Nanos {
-        stall_start + self.rfm_total
-    }
-
-    /// RFMs issued per episode.
-    pub const fn rfms(&self) -> u8 {
-        self.rfms
-    }
-
-    /// Total episode duration (tALERT): activity window plus RFM phase.
-    pub fn t_alert(&self) -> Nanos {
-        self.act_window + self.rfm_total
-    }
-}
-
 /// Where the protocol currently is within an ALERT episode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AboPhase {
@@ -156,8 +106,6 @@ pub enum AboPhase {
 pub struct AboProtocol {
     level: AboLevel,
     timing: DramTiming,
-    /// Pre-resolved episode arithmetic for this level.
-    schedule: EpisodeSchedule,
     phase: AboPhase,
     /// Activations since the last ALERT episode completed.
     acts_since_episode: u64,
@@ -174,7 +122,6 @@ impl AboProtocol {
         AboProtocol {
             level,
             timing,
-            schedule: EpisodeSchedule::new(level, timing),
             phase: AboPhase::Idle,
             acts_since_episode: 0,
             had_episode: false,
@@ -201,11 +148,6 @@ impl AboProtocol {
     /// Total RFMs issued.
     pub fn rfms(&self) -> u64 {
         self.rfms
-    }
-
-    /// The pre-resolved episode schedule for this level.
-    pub fn schedule(&self) -> EpisodeSchedule {
-        self.schedule
     }
 
     /// Activations recorded since the last ALERT episode completed.
@@ -254,9 +196,8 @@ impl AboProtocol {
     }
 
     /// Executes the entire RFM phase of the current episode as one
-    /// arithmetic step: `L` back-to-back RFMs starting at `now`, per the
-    /// pre-resolved [`EpisodeSchedule`]. Returns the completion time,
-    /// `now + L·tRFM` — exactly what chaining `L`
+    /// arithmetic step: `L` back-to-back RFMs starting at `now`. Returns
+    /// the completion time, `now + L·tRFM` — exactly what chaining `L`
     /// [`start_rfm`](Self::start_rfm) calls from `now` would return, with
     /// identical end state (idle, spacing counter reset, totals bumped).
     ///
@@ -269,11 +210,12 @@ impl AboProtocol {
     pub fn complete_episode(&mut self, now: Nanos) -> Result<Nanos, DramError> {
         match self.phase {
             AboPhase::ActWindow { stall_at } if now >= stall_at => {
-                self.rfms = self.rfms.saturating_add(u64::from(self.schedule.rfms()));
+                let rfms = u64::from(self.level.as_u8());
+                self.rfms = self.rfms.saturating_add(rfms);
                 self.phase = AboPhase::Idle;
                 self.had_episode = true;
                 self.acts_since_episode = 0;
-                Ok(self.schedule.done_at(now))
+                Ok(now + self.timing.t_rfm * rfms)
             }
             _ => Err(DramError::AlertNotPermitted),
         }
@@ -462,22 +404,6 @@ mod tests {
         // A partially drained RFM phase must be finished per-step.
         let t = a.start_rfm(stall).unwrap();
         assert!(a.complete_episode(t).is_err(), "mid-RFM");
-    }
-
-    #[test]
-    fn schedule_matches_timing_table() {
-        let t = DramTiming::ddr5_prac();
-        for level in AboLevel::ALL {
-            let s = EpisodeSchedule::new(level, t);
-            assert_eq!(s.rfms(), level.as_u8());
-            assert_eq!(s.t_alert(), t.t_alert(level.as_u8()));
-            assert_eq!(s.stall_at(Nanos::new(100)), Nanos::new(280));
-            assert_eq!(
-                s.done_at(Nanos::new(280)),
-                Nanos::new(280 + 350 * u64::from(level.as_u8()))
-            );
-            assert_eq!(abo(level).schedule(), s);
-        }
     }
 
     #[test]

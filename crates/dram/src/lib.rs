@@ -47,7 +47,7 @@ pub mod testing;
 mod timing;
 mod types;
 
-pub use abo::{AboLevel, AboPhase, AboProtocol, EpisodeSchedule};
+pub use abo::{AboLevel, AboPhase, AboProtocol};
 pub use bank::Bank;
 pub use config::{DramConfig, DramConfigBuilder, RefreshOrder};
 pub use error::DramError;

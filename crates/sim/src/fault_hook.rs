@@ -23,7 +23,7 @@ use moat_dram::{MitigationEngine, Nanos};
 ///
 /// * [`at_boundary`](Self::at_boundary) — once per boundary (each
 ///   iteration of the event-horizon loop; each ACT slot of the per-step
-///   reference), *before* the defense priority match. This is
+///   reference), *before* the sub-channel's episode step. This is
 ///   where SEU bit-flips land, via
 ///   [`MitigationEngine::apply_fault`].
 /// * [`drop_rfm`](Self::drop_rfm) — once per RFM about to issue inside

@@ -17,7 +17,11 @@
 //!   for Fig. 11, Tables 5–7, Fig. 17, and the performance attacks of §7.
 //!
 //! Both are assembled from [`BankUnit`]s: a bank + mitigation engine +
-//! refresh engine + ground-truth security ledger.
+//! refresh engine + ground-truth security ledger. Both put their units on
+//! a sub-channel, which applies the one episode order of the ABO
+//! protocol (§2.6): once an ALERT's activity window closes, its RFM
+//! phase; else a due all-bank REF; else an ALERT assertion. Each
+//! simulator only chooses when it steps the sub-channel.
 //!
 //! ```
 //! use moat_core::{MoatConfig, MoatEngine};
@@ -41,6 +45,7 @@ mod guard_hook;
 mod hooks;
 mod perf;
 mod security;
+mod subchannel;
 mod unit;
 
 pub use budget::SlotBudget;

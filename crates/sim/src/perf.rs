@@ -5,17 +5,18 @@
 //! (180 ns of permitted activity, then `L` × 350 ns of RFM), exactly like
 //! the paper's model, so the performance effects of MOAT's design
 //! parameters (ATH, ETH, level, mitigation rate) fall out of the same
-//! machinery the security simulator uses.
+//! machinery the security simulator uses: the REFs and ALERT episodes
+//! follow the one sub-channel episode order both simulators share.
 //!
 //! Slowdown is measured by running the identical request stream with
 //! ALERTs enabled and disabled and comparing completion times — the
 //! paper's "normalized to a system that does not incur any ALERTs".
 
-use moat_dram::{
-    AboLevel, AboPhase, AboProtocol, BankId, DramConfig, MitigationEngine, Nanos, RowId,
-};
+use moat_dram::{AboLevel, AboPhase, BankId, DramConfig, MitigationEngine, Nanos, RowId};
 
 use crate::budget::SlotBudget;
+use crate::hooks::Hooks;
+use crate::subchannel::SubChannel;
 use crate::unit::{BankUnit, PREFETCH_DISTANCE};
 
 /// One activation request: issue `gap` after the previous request's
@@ -163,7 +164,9 @@ impl PerfReport {
     }
 }
 
-/// The sub-channel performance simulator.
+/// The sub-channel performance simulator: the banks' units on one
+/// sub-channel, which applies REFs and ALERT episodes in the same order
+/// as [`SecuritySim`](crate::SecuritySim)'s.
 ///
 /// `PerfSim` is generic over the mitigation-engine type. Instantiating it
 /// with a concrete engine (`PerfSim<MoatEngine>`, as the experiment
@@ -195,9 +198,7 @@ impl PerfReport {
 pub struct PerfSim<E: MitigationEngine = Box<dyn MitigationEngine>> {
     config: PerfConfig,
     units: Vec<BankUnit<E>>,
-    abo: AboProtocol,
-    /// Sub-channel unavailable before this time (REF / RFM stall).
-    stall_until: Nanos,
+    sub: SubChannel,
     last_end: Nanos,
     /// Number of banks whose engine currently requests an ALERT,
     /// maintained incrementally so the per-ACT loop never rescans all
@@ -228,25 +229,9 @@ fn lookahead_key(req: &Request) -> u64 {
 /// bank index is 16 bits wide, so every key is below `1 << 48`.
 const NO_LOOKAHEAD_KEY: u64 = u64::MAX;
 
-/// Folds the change in a unit's `alert_pending` across `op` into the
-/// sub-channel's pending-alert count.
-#[inline]
-fn track_alert<E: MitigationEngine>(
-    unit: &mut BankUnit<E>,
-    pending: &mut usize,
-    op: impl FnOnce(&mut BankUnit<E>),
-) {
-    let was = unit.alert_pending();
-    op(unit);
-    let now = unit.alert_pending();
-    if now != was {
-        if now {
-            *pending += 1;
-        } else {
-            *pending -= 1;
-        }
-    }
-}
+/// `PerfSim`'s `flatten_before` for [`SubChannel::advance`]: every RFM
+/// phase resolves in one step.
+const ALWAYS_FLATTEN: Nanos = Nanos::new(u64::MAX);
 
 impl<E: MitigationEngine> PerfSim<E> {
     /// Creates a simulator; `engine_factory` builds one engine per bank.
@@ -260,8 +245,7 @@ impl<E: MitigationEngine> PerfSim<E> {
         PerfSim {
             config,
             units,
-            abo: AboProtocol::new(config.abo_level, config.dram.timing),
-            stall_until: Nanos::ZERO,
+            sub: SubChannel::new(config.abo_level, config.dram.timing, config.alerts_enabled),
             last_end: Nanos::ZERO,
             pending_alerts: 0,
             chunk_size: DEFAULT_CHUNK,
@@ -379,11 +363,11 @@ impl<E: MitigationEngine> PerfSim<E> {
         assert!(bank_idx < self.units.len(), "request to unknown bank");
         let bank_ready = self.units[bank_idx].bank().next_ready();
 
-        let t_cand = eff_intent.max(self.stall_until).max(bank_ready);
+        let t_cand = eff_intent.max(self.sub.stall_until()).max(bank_ready);
         // Pre-resolved episode boundaries: a candidate slot that stays
         // before the next REF deadline (Idle) or finishes inside the
         // ALERT activity window needs no retry.
-        let fast = match self.abo.phase() {
+        let fast = match self.sub.abo().phase() {
             AboPhase::Idle => t_cand < st.ref_due,
             AboPhase::ActWindow { stall_at } => t_cand + t_rc <= stall_at,
             _ => false,
@@ -394,26 +378,31 @@ impl<E: MitigationEngine> PerfSim<E> {
             self.resolve_straddle(bank_idx, eff_intent, st)
         };
 
-        track_alert(&mut self.units[bank_idx], &mut self.pending_alerts, |u| {
-            u.activate(req.row, t)
-                .expect("issue time respects bank timing");
-        });
-        self.abo.on_act();
+        let unit = &mut self.units[bank_idx];
+        let was = unit.alert_pending();
+        unit.activate(req.row, t)
+            .expect("issue time respects bank timing");
+        match (was, unit.alert_pending()) {
+            (false, true) => self.pending_alerts += 1,
+            (true, false) => self.pending_alerts -= 1,
+            _ => {}
+        }
+        self.sub.on_acts(1);
         st.shift += t - eff_intent;
         self.last_end = t + t_rc;
 
         // Assert ALERT at the precharge that crossed the threshold.
-        if self.config.alerts_enabled && self.pending_alerts > 0 && self.abo.can_assert() {
-            self.abo
-                .assert_alert(self.last_end)
-                .expect("can_assert checked");
-        }
+        let pending = self.pending_alerts > 0;
+        let hooks = &mut Hooks::default();
+        self.sub
+            .assert_alert(self.last_end, pending, &mut self.units, hooks);
     }
 
     /// The retry loop for requests that straddle an episode boundary:
-    /// performs due REFs and closing ALERT episodes until a clean issue
-    /// slot exists, and returns it. Cold by construction — benign streams
-    /// enter it roughly once per tREFI.
+    /// while the candidate slot reaches a due REF, or the ACT cannot
+    /// finish before an ALERT window's stall point, runs that episode
+    /// step and re-times the request. Returns the clean issue slot. Cold
+    /// by construction — benign streams enter it roughly once per tREFI.
     #[cold]
     fn resolve_straddle(
         &mut self,
@@ -422,66 +411,35 @@ impl<E: MitigationEngine> PerfSim<E> {
         st: &mut IssueState,
     ) -> Nanos {
         let t_rc = self.config.dram.timing.t_rc;
-        let mut bank_ready = self.units[bank_idx].bank().next_ready();
         loop {
-            let t_cand = eff_intent.max(self.stall_until).max(bank_ready);
-
-            // All-bank REF when due (and no ALERT episode in flight).
-            if matches!(self.abo.phase(), AboPhase::Idle) && st.ref_due <= t_cand {
-                self.do_ref(st.ref_due.max(self.stall_until));
-                st.ref_due = self.units[0].refresh().next_due();
-                bank_ready = self.units[bank_idx].bank().next_ready();
-                continue;
-            }
-
-            // If the ALERT activity window closes before this request
-            // could finish, the RFMs run first.
-            if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                if t_cand + t_rc > stall_at {
-                    self.do_rfms(stall_at);
-                    bank_ready = self.units[bank_idx].bank().next_ready();
-                    continue;
-                }
-            }
-            break t_cand;
+            let bank_ready = self.units[bank_idx].bank().next_ready();
+            let t_cand = eff_intent.max(self.sub.stall_until()).max(bank_ready);
+            let deadline = match self.sub.abo().phase() {
+                AboPhase::Idle if st.ref_due <= t_cand => st.ref_due,
+                AboPhase::ActWindow { stall_at } if t_cand + t_rc > stall_at => stall_at,
+                _ => return t_cand,
+            };
+            self.episode_at(deadline);
+            st.ref_due = self.units[0].refresh().next_due();
         }
     }
 
     /// Drains a trailing ALERT episode after the stream ends.
     fn drain_trailing_alert(&mut self) {
-        if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-            self.do_rfms(stall_at);
-            self.last_end = self.last_end.max(self.stall_until);
+        if let AboPhase::ActWindow { stall_at } = self.sub.abo().phase() {
+            self.episode_at(stall_at);
+            self.last_end = self.last_end.max(self.sub.stall_until());
         }
     }
 
-    fn do_ref(&mut self, start: Nanos) {
-        // One pass over the units: a REF never reads a bank's ready
-        // time, so occupying each bank right after its own REF equals
-        // occupying every bank after all REFs.
-        let end = start + self.config.dram.timing.t_rfc;
-        for u in &mut self.units {
-            track_alert(u, &mut self.pending_alerts, |u| u.perform_ref(start));
-            u.bank_mut().occupy_until(end);
-        }
-        self.stall_until = self.stall_until.max(end);
-    }
-
-    fn do_rfms(&mut self, stall_at: Nanos) {
-        // The whole RFM phase is one arithmetic step against the
-        // pre-resolved episode schedule instead of per-RFM protocol
-        // round-trips; completion time and state are identical.
-        let start = stall_at.max(self.stall_until);
-        let t = self.abo.complete_episode(start).expect("rfm sequencing");
-        for _ in 0..self.config.abo_level.as_u8() {
-            // Each RFM mitigates one row from every bank (§7.2).
-            for u in &mut self.units {
-                track_alert(u, &mut self.pending_alerts, BankUnit::rfm_mitigate);
-            }
-        }
-        self.stall_until = self.stall_until.max(t);
-        for u in &mut self.units {
-            u.bank_mut().occupy_until(t);
+    /// Runs the sub-channel's episode step due at `deadline` (a REF
+    /// deadline or an ALERT stall point) once the current stall has
+    /// ended.
+    fn episode_at(&mut self, deadline: Nanos) {
+        let at = deadline.max(self.sub.stall_until());
+        let hooks = &mut Hooks::default();
+        if let Some(pending) = self.sub.advance(at, ALWAYS_FLATTEN, &mut self.units, hooks) {
+            self.pending_alerts = pending;
         }
     }
 
@@ -522,12 +480,12 @@ impl<E: MitigationEngine> PerfSim<E> {
         PerfReport {
             completion_time: self.last_end,
             total_acts: acts,
-            alerts: self.abo.alerts(),
-            rfms: self.abo.rfms(),
+            alerts: self.sub.abo().alerts(),
+            rfms: self.sub.abo().rfms(),
             refs,
             proactive_mitigations: proactive,
             reactive_mitigations: reactive,
-            alerts_per_trefi: self.abo.alerts() as f64 / trefi_intervals,
+            alerts_per_trefi: self.sub.abo().alerts() as f64 / trefi_intervals,
             mitigations_per_bank_per_trefw: (proactive + reactive) as f64 / banks / trefw_windows,
             max_pressure,
             max_epoch,

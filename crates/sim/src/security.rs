@@ -8,7 +8,9 @@
 //! defense. The attacker sees the complete defense state each step (threat
 //! model §2.1) and decides the next activation.
 //!
-//! Two loops share the same state machine:
+//! Two loops share the same state machine, and both step the bank's
+//! sub-channel through the one episode order [`PerfSim`](crate::PerfSim)
+//! also uses (an RFM phase, then a due REF, then an ALERT assertion):
 //!
 //! * [`SecuritySim::run`] steps an adaptive [`Attacker`] one ACT slot at a
 //!   time — the bit-identical reference every experiment can fall back to.
@@ -27,9 +29,7 @@
 
 use std::borrow::Cow;
 
-use moat_dram::{
-    AboLevel, AboPhase, AboProtocol, DramConfig, EngineFault, MitigationEngine, Nanos, RowId,
-};
+use moat_dram::{AboLevel, AboPhase, AboProtocol, DramConfig, MitigationEngine, Nanos, RowId};
 
 use moat_telemetry::{SimPhase, TelemetryHook};
 
@@ -37,6 +37,7 @@ use crate::budget::SlotBudget;
 use crate::fault_hook::FaultHook;
 use crate::guard_hook::GuardHook;
 use crate::hooks::Hooks;
+use crate::subchannel::SubChannel;
 use crate::unit::{BankUnit, BankUnitView};
 
 /// Upper bound on the rows fetched per scripted run. The REF cadence caps
@@ -340,7 +341,9 @@ pub struct SecurityReport {
     pub elapsed: Nanos,
 }
 
-/// The single-bank security simulator.
+/// The single-bank security simulator: one bank unit on a sub-channel of
+/// its own, whose REFs and ALERT episodes follow the same episode order
+/// as [`PerfSim`](crate::PerfSim)'s.
 ///
 /// Generic over the mitigation engine like
 /// [`PerfSim`](crate::PerfSim): a concrete `E` statically dispatches
@@ -369,7 +372,7 @@ pub struct SecurityReport {
 pub struct SecuritySim<E: MitigationEngine = Box<dyn MitigationEngine>> {
     config: SecurityConfig,
     unit: BankUnit<E>,
-    abo: AboProtocol,
+    sub: SubChannel,
     now: Nanos,
 }
 
@@ -377,11 +380,11 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// Creates a simulator for `engine` under `config`.
     pub fn new(config: SecurityConfig, engine: E) -> Self {
         let unit = BankUnit::new(&config.dram, engine, config.budget);
-        let abo = AboProtocol::new(config.abo_level, config.dram.timing);
+        let sub = SubChannel::new(config.abo_level, config.dram.timing, config.alerts_enabled);
         SecuritySim {
             config,
             unit,
-            abo,
+            sub,
             now: Nanos::ZERO,
         }
     }
@@ -420,64 +423,24 @@ impl<E: MitigationEngine> SecuritySim<E> {
     ) -> SecurityReport {
         let end = self.now + duration;
         let t_rc = self.config.dram.timing.t_rc;
-        let t_rfc = self.config.dram.timing.t_rfc;
 
         while self.now < end {
             hooks.at_boundary(self.now, &mut self.unit);
-
-            // 1. ABO RFM phase has priority once the activity window closes.
-            match self.abo.phase() {
-                AboPhase::ActWindow { stall_at } if self.now >= stall_at => {
-                    let t0 = self.now;
-                    let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !hooks.drop_rfm(self.now) {
-                        self.unit.rfm_mitigate();
-                    }
-                    self.now = done;
-                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    continue;
-                }
-                AboPhase::Rfm { busy_until, .. } => {
-                    let t0 = self.now;
-                    let t = self.now.max(busy_until);
-                    let done = self.abo.start_rfm(t).expect("chained rfm");
-                    if !hooks.drop_rfm(self.now) {
-                        self.unit.rfm_mitigate();
-                    }
-                    self.now = done;
-                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                    continue;
-                }
-                _ => {}
-            }
-
-            // 2. REF when due and the sub-channel is not in an ALERT.
-            if matches!(self.abo.phase(), AboPhase::Idle) && self.unit.refresh().is_due(self.now) {
-                let t0 = self.now;
-                self.unit.perform_ref(self.now);
-                self.now += t_rfc;
-                hooks.phase(SimPhase::Refresh, t0, self.now, 1);
+            // An RFM phase never resolves in one step here: each RFM is
+            // a boundary of its own.
+            let now = self.now;
+            let unit = std::slice::from_mut(&mut self.unit);
+            if self.sub.advance(now, now, unit, &mut hooks).is_some() {
+                self.now = self.sub.stall_until();
                 continue;
             }
 
-            // 3. Assert ALERT as soon as requested and permitted.
-            if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-                if hooks.lose_alert(self.now) {
-                    // The assertion is lost in flight: clear the request
-                    // latch; it re-arms when a counter next crosses ATH.
-                    self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
-                } else {
-                    self.abo.assert_alert(self.now).expect("can_assert checked");
-                    // Normal operation continues inside the 180 ns window.
-                }
-            }
-
-            // 4. The attacker takes the next ACT slot.
+            // The attacker takes the next ACT slot.
             let step = {
                 let view = DefenseView {
                     now: self.now,
                     unit: self.unit.as_view(),
-                    abo: &self.abo,
+                    abo: self.sub.abo(),
                 };
                 attacker.step(&view)
             };
@@ -487,39 +450,8 @@ impl<E: MitigationEngine> SecuritySim<E> {
                     hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
                     self.now += t_rc;
                 }
-                AttackStep::PostponeRef => {
-                    if self.unit.refresh_mut().postpone().is_err() {
-                        // Budget exhausted: burn the slot instead.
-                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        self.now += t_rc;
-                    }
-                }
-                AttackStep::Act(row) => {
-                    // Inside an ALERT activity window, an ACT must finish
-                    // before the stall point.
-                    if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                        if self.now + t_rc > stall_at {
-                            hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
-                            self.now = stall_at;
-                            continue;
-                        }
-                    }
-                    let t0 = self.now;
-                    let t = self.now.max(self.unit.bank().next_ready());
-                    match self.unit.activate(row, t) {
-                        Ok(_) => {
-                            self.abo.on_act();
-                            self.now = t + t_rc;
-                            hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
-                        }
-                        Err(_) => {
-                            // Timing said no; advance to the bank's ready
-                            // time and retry next iteration.
-                            self.now = self.unit.bank().next_ready();
-                            hooks.phase(SimPhase::Idle, t0, self.now, 0);
-                        }
-                    }
-                }
+                AttackStep::PostponeRef => self.postpone_ref(t_rc, &mut hooks),
+                AttackStep::Act(row) => self.act_one(row, t_rc, &mut hooks),
             }
         }
 
@@ -573,10 +505,9 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// [`min_acts_to_alert`](MitigationEngine::min_acts_to_alert) horizon.
     /// The attacker publishes its next run against that snapshot, which
     /// issues through the bank unit in one batched, prefetching pass.
-    /// Published idle stretches batch the same way. ALERT episodes
-    /// resolve against the pre-resolved
-    /// [`EpisodeSchedule`](moat_dram::EpisodeSchedule) (assert → stall →
-    /// `L` RFMs as one arithmetic step).
+    /// Published idle stretches batch the same way. An ALERT episode's RFM
+    /// phase resolves in one step when its last RFM starts before the
+    /// run ends.
     ///
     /// Purely a host-side optimization: under the publish contract on
     /// [`SemiScriptedAttacker`], the report is bit-identical to
@@ -616,12 +547,16 @@ impl<E: MitigationEngine> SecuritySim<E> {
     {
         let end = self.now + duration;
         let t_rc = self.config.dram.timing.t_rc;
-        let t_rfc = self.config.dram.timing.t_rfc;
         let mut run: Vec<RowId> = Vec::with_capacity(MAX_RUN);
 
         while self.now < end {
             hooks.at_boundary(self.now, &mut self.unit);
-            if self.advance_defense(end, t_rfc, &mut hooks) {
+            // An RFM phase whose last RFM starts before `end` resolves in
+            // one step. One that `end` cuts stops where the per-step loop
+            // stops, RFM by RFM, and the next call resumes it.
+            let unit = std::slice::from_mut(&mut self.unit);
+            if self.sub.advance(self.now, end, unit, &mut hooks).is_some() {
+                self.now = self.sub.stall_until();
                 continue;
             }
 
@@ -632,19 +567,13 @@ impl<E: MitigationEngine> SecuritySim<E> {
                 let view = DefenseView {
                     now: self.now,
                     unit: self.unit.as_view(),
-                    abo: &self.abo,
+                    abo: self.sub.abo(),
                 };
                 attacker.publish(&view, &mut run, grant)
             };
             match step {
                 SemiRun::Stop => break,
-                SemiRun::PostponeRef => {
-                    if self.unit.refresh_mut().postpone().is_err() {
-                        // Budget exhausted: burn the slot instead.
-                        hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
-                        self.now += t_rc;
-                    }
-                }
+                SemiRun::PostponeRef => self.postpone_ref(t_rc, &mut hooks),
                 SemiRun::Idle(want) => {
                     let n = self.idle_horizon(end, t_rc).min(want.max(1));
                     hooks.phase(SimPhase::Idle, self.now, self.now + t_rc * n, n);
@@ -666,36 +595,18 @@ impl<E: MitigationEngine> SecuritySim<E> {
                             self.unit
                                 .activate(run[0], self.now)
                                 .expect("event-free run respects bank timing");
-                            self.abo.on_act();
+                            self.sub.on_acts(1);
                             self.now += t_rc;
                         } else {
                             self.unit.activate_run(&run[..n], self.now, t_rc);
-                            self.abo.on_acts(n as u64);
+                            self.sub.on_acts(n as u64);
                             self.now += t_rc * (n as u64);
                         }
                         hooks.phase(SimPhase::EngineUpdate, t0, self.now, n as u64);
                     } else {
-                        // Single guarded step: inside an ALERT window,
-                        // under a spacing-stalled ALERT, or with no
-                        // engine guarantee. An ACT that cannot finish
-                        // before the stall point is dropped (consumed
-                        // without landing), as in the per-step reference.
-                        let row = run[0];
-                        if let AboPhase::ActWindow { stall_at } = self.abo.phase() {
-                            if self.now + t_rc > stall_at {
-                                hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
-                                self.now = stall_at;
-                                continue;
-                            }
-                        }
-                        let t0 = self.now;
-                        let t = self.now.max(self.unit.bank().next_ready());
-                        self.unit
-                            .activate(row, t)
-                            .expect("published row within the bank");
-                        self.abo.on_act();
-                        self.now = t + t_rc;
-                        hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
+                        // Inside an ALERT window, under a spacing-stalled
+                        // ALERT, or with no engine guarantee.
+                        self.act_one(run[0], t_rc, &mut hooks);
                     }
                 }
             }
@@ -704,89 +615,51 @@ impl<E: MitigationEngine> SecuritySim<E> {
         self.report()
     }
 
-    /// Steps 1–3 of the event-horizon loop — the one place that orders
-    /// ABO, REF and ALERT for it; returns `true` when it advanced the
-    /// defense (an RFM phase step or a REF) and the loop must re-enter to
-    /// re-evaluate priorities.
+    /// One guarded ACT slot of `row`, shared by the per-step loop and the
+    /// event-horizon loop's single-slot grants: an ACT that cannot finish
+    /// before an ALERT window's stall point is dropped (consumed without
+    /// landing) and the clock moves to the stall point. Always inlined:
+    /// the event-horizon loop takes this path for every ACT of an ALERT
+    /// window and every one-slot grant.
     ///
-    /// The RFM phase flattens into one arithmetic step via
-    /// [`AboProtocol::complete_episode`] when the whole phase runs before
-    /// `end`. When `end` falls inside the phase, the per-step reference
-    /// loop truncates mid-phase (RFM `i` only issues while `now < end`),
-    /// so the episode drains per-RFM to stop at the identical point — a
-    /// published run whose horizon lands inside an ALERT episode resumes
-    /// through the same per-RFM path on the next call.
-    fn advance_defense<F: FaultHook, G: GuardHook, T: TelemetryHook>(
+    /// # Panics
+    ///
+    /// Panics if `row` is outside the bank.
+    #[inline(always)]
+    fn act_one<F: FaultHook, G: GuardHook, T: TelemetryHook>(
         &mut self,
-        end: Nanos,
-        t_rfc: Nanos,
+        row: RowId,
+        t_rc: Nanos,
         hooks: &mut Hooks<F, G, T>,
-    ) -> bool {
-        // 1. ABO RFM phase has priority once the activity window closes.
-        match self.abo.phase() {
-            AboPhase::ActWindow { stall_at } if self.now >= stall_at => {
-                let rfms = u64::from(self.abo.level().as_u8());
-                let last_start = self.now + self.config.dram.timing.t_rfm * (rfms - 1);
-                let t0 = self.now;
-                if last_start < end {
-                    let done = self
-                        .abo
-                        .complete_episode(self.now)
-                        .expect("episode after window");
-                    for _ in 0..rfms {
-                        if !hooks.drop_rfm(self.now) {
-                            self.unit.rfm_mitigate();
-                        }
-                    }
-                    self.now = done;
-                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, rfms);
-                } else {
-                    let done = self.abo.start_rfm(self.now).expect("rfm after window");
-                    if !hooks.drop_rfm(self.now) {
-                        self.unit.rfm_mitigate();
-                    }
-                    self.now = done;
-                    hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                }
-                return true;
+    ) {
+        if let AboPhase::ActWindow { stall_at } = self.sub.abo().phase() {
+            if self.now + t_rc > stall_at {
+                hooks.phase(SimPhase::Idle, self.now, stall_at, 0);
+                self.now = stall_at;
+                return;
             }
-            AboPhase::Rfm { busy_until, .. } => {
-                // Only reachable when an earlier run (per-step, or an
-                // event-horizon run whose `end` fell mid-phase) left off
-                // inside an episode; drain it per-RFM.
-                let t0 = self.now;
-                let t = self.now.max(busy_until);
-                let done = self.abo.start_rfm(t).expect("chained rfm");
-                if !hooks.drop_rfm(self.now) {
-                    self.unit.rfm_mitigate();
-                }
-                self.now = done;
-                hooks.phase(SimPhase::EpisodeChurn, t0, self.now, 1);
-                return true;
-            }
-            _ => {}
         }
+        let t0 = self.now;
+        let t = self.now.max(self.unit.bank().next_ready());
+        self.unit
+            .activate(row, t)
+            .expect("attacker row within the bank");
+        self.sub.on_acts(1);
+        self.now = t + t_rc;
+        hooks.phase(SimPhase::EngineUpdate, t0, self.now, 1);
+    }
 
-        // 2. REF when due and the sub-channel is not in an ALERT.
-        if matches!(self.abo.phase(), AboPhase::Idle) && self.unit.refresh().is_due(self.now) {
-            let t0 = self.now;
-            self.unit.perform_ref(self.now);
-            self.now += t_rfc;
-            hooks.phase(SimPhase::Refresh, t0, self.now, 1);
-            return true;
+    /// Postpones the next REF. It costs no time, unless the postponement
+    /// budget is exhausted: then the slot passes unused instead.
+    fn postpone_ref<F: FaultHook, G: GuardHook, T: TelemetryHook>(
+        &mut self,
+        t_rc: Nanos,
+        hooks: &mut Hooks<F, G, T>,
+    ) {
+        if self.unit.refresh_mut().postpone().is_err() {
+            hooks.phase(SimPhase::Idle, self.now, self.now + t_rc, 1);
+            self.now += t_rc;
         }
-
-        // 3. Assert ALERT as soon as requested and permitted.
-        if self.config.alerts_enabled && self.unit.alert_pending() && self.abo.can_assert() {
-            if hooks.lose_alert(self.now) {
-                // The assertion is lost in flight: clear the request
-                // latch; it re-arms when a counter next crosses ATH.
-                self.unit.engine_mut().apply_fault(&EngineFault::LoseAlert);
-            } else {
-                self.abo.assert_alert(self.now).expect("can_assert checked");
-            }
-        }
-        false
     }
 
     /// The engine-guaranteed ACT count behind a grant's `alert_safe`
@@ -799,7 +672,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
     /// so flagging those as unsound would be a false positive.
     fn engine_promise(&self, alert_safe: usize) -> u64 {
         if self.config.alerts_enabled
-            && matches!(self.abo.phase(), AboPhase::Idle)
+            && matches!(self.sub.abo().phase(), AboPhase::Idle)
             && !self.unit.alert_pending()
         {
             alert_safe as u64
@@ -830,7 +703,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
             self.unit
                 .activate(row, self.now)
                 .expect("event-free run respects bank timing");
-            self.abo.on_act();
+            self.sub.on_acts(1);
             self.now += t_rc;
             let done = (i + 1) as u64;
             if !reported && done < promised && self.unit.alert_pending() {
@@ -853,7 +726,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
     fn idle_horizon(&self, end: Nanos, t_rc: Nanos) -> u64 {
         let ceil_div = |d: Nanos| d.as_u64().div_ceil(t_rc.as_u64()).max(1);
         let n_end = ceil_div(end.saturating_sub(self.now));
-        match self.abo.phase() {
+        match self.sub.abo().phase() {
             AboPhase::Idle => {
                 let n_ref = ceil_div(self.unit.refresh().next_due().saturating_sub(self.now));
                 n_ref.min(n_end)
@@ -898,7 +771,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
         // before its deadline (the per-step loop re-checks at ≥).
         let ceil_div = |d: Nanos| d.as_u64().div_ceil(t_rc.as_u64());
         let n_end = ceil_div(end.saturating_sub(now));
-        match self.abo.phase() {
+        match self.sub.abo().phase() {
             AboPhase::Idle => {
                 let n_ref = ceil_div(self.unit.refresh().next_due().saturating_sub(now));
                 let pending = self.config.alerts_enabled && self.unit.alert_pending();
@@ -907,8 +780,8 @@ impl<E: MitigationEngine> SecuritySim<E> {
                     // step 3 (else the phase would be ActWindow), so the
                     // assertion fires after exactly this many owed ACTs —
                     // a simulator-side event that hard-caps every run.
-                    u64::from(self.abo.level().as_u8())
-                        .saturating_sub(self.abo.acts_since_episode())
+                    let abo = self.sub.abo();
+                    u64::from(abo.level().as_u8()).saturating_sub(abo.acts_since_episode())
                 } else {
                     u64::MAX
                 };
@@ -949,8 +822,8 @@ impl<E: MitigationEngine> SecuritySim<E> {
             max_pressure_row: self.unit.ledger().max_pressure_row(),
             max_epoch: self.unit.ledger().max_epoch_ever(),
             total_acts: stats.acts,
-            alerts: self.abo.alerts(),
-            rfms: self.abo.rfms(),
+            alerts: self.sub.abo().alerts(),
+            rfms: self.sub.abo().rfms(),
             refs: stats.refs,
             proactive_mitigations: stats.proactive_mitigations,
             reactive_mitigations: stats.reactive_mitigations,
@@ -1153,6 +1026,20 @@ mod tests {
         let report = sim.run(&mut OneShot(false), Nanos::from_millis(10));
         assert_eq!(report.total_acts, 1);
         assert!(report.elapsed < Nanos::from_millis(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "RowOutOfRange")]
+    fn per_step_row_outside_the_bank_panics() {
+        let rows = SecurityConfig::paper_default().dram.rows_per_bank;
+        moat_sim().run(&mut hammer_attacker(rows + 5), Nanos::from_micros(10));
+    }
+
+    #[test]
+    #[should_panic(expected = "RowOutOfRange")]
+    fn semi_scripted_row_outside_the_bank_panics() {
+        let rows = SecurityConfig::paper_default().dram.rows_per_bank;
+        moat_sim().run_semi_scripted(&mut hammer_attacker(rows + 5), Nanos::from_micros(10));
     }
 
     #[test]
