@@ -30,9 +30,6 @@ pub struct MoatConfig {
     pub eth: u32,
     /// ABO mitigation level; MOAT-L tracks `level` entries (Appendix D).
     pub level: AboLevel,
-    /// Number of trailing-row shadow counters kept for safe
-    /// reset-on-refresh (§4.3; equals the blast radius, default 2).
-    pub shadow_slots: u32,
     /// Counter-reset policy on refresh (§4.3 / Fig. 7).
     pub reset_policy: ResetPolicy,
 }
@@ -59,7 +56,6 @@ impl MoatConfig {
             ath: 64,
             eth: 32,
             level: AboLevel::L1,
-            shadow_slots: 2,
             reset_policy: ResetPolicy::Safe,
         }
     }
@@ -70,7 +66,6 @@ impl MoatConfig {
             ath,
             eth: ath / 2,
             level: AboLevel::L1,
-            shadow_slots: 2,
             reset_policy: ResetPolicy::Safe,
         }
     }

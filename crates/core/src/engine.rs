@@ -35,6 +35,26 @@ struct ShadowCounter {
     count: u32,
 }
 
+/// Tracker slots of the largest MOAT, MOAT-L4 (Appendix D).
+const MAX_TRACKED: usize = 4;
+
+/// Trailing-row shadow counters: one per row of the blast radius (§4.3).
+const SHADOW_SLOTS: usize = 2;
+
+/// The row an unused tracker or shadow slot holds. Row indices are below
+/// a bank's `u32` row count, so no bank has this row.
+const NO_ROW: RowId = RowId::new(u32::MAX);
+
+const EMPTY_ENTRY: TrackedEntry = TrackedEntry {
+    row: NO_ROW,
+    count: 0,
+};
+
+const EMPTY_SHADOW: ShadowCounter = ShadowCounter {
+    row: NO_ROW,
+    count: 0,
+};
+
 /// Parity byte over a tracked count: the XOR fold of its four bytes.
 /// Any single-bit upset in the count flips exactly one bit of the fold,
 /// so the SEU fault model (`EngineFault::FlipCounterBit`) is detected
@@ -98,19 +118,20 @@ pub struct MoatEngine {
     config: MoatConfig,
     /// Cached display name (formatted once — `name()` is allocation-free).
     name: String,
-    /// The tracked entries (1 for MOAT-L1; `L` for MOAT-L, Appendix D).
-    tracker: Vec<TrackedEntry>,
+    /// The tracked entries (1 for MOAT-L1; `L` for MOAT-L, Appendix D):
+    /// the first `tracked` slots; the rest hold [`EMPTY_ENTRY`].
+    tracker: [TrackedEntry; MAX_TRACKED],
+    /// Number of live tracker entries.
+    tracked: usize,
     /// Index of the highest-count entry (ties resolved to the highest
     /// index, matching `Iterator::max_by_key` over the tracker vector).
     /// Only meaningful while the tracker is non-empty.
     max_idx: usize,
     /// The row currently being mitigated (CMA register).
     cma: Option<RowId>,
-    /// Trailing-row shadows for safe reset (§4.3).
-    shadows: Vec<ShadowCounter>,
-    /// The buffer the next group's shadows are built in, then swapped
-    /// with `shadows`, so a REF allocates nothing.
-    next_shadows: Vec<ShadowCounter>,
+    /// Trailing-row shadows for safe reset (§4.3); an unused slot holds
+    /// [`EMPTY_SHADOW`].
+    shadows: [ShadowCounter; SHADOW_SLOTS],
     alert_pending: bool,
     /// The single untracked row with the highest known standing count —
     /// attributed so a mitigation of exactly that row can retire the
@@ -140,11 +161,11 @@ impl MoatEngine {
         MoatEngine {
             config,
             name: format!("moat-{}-ath{}-eth{}", config.level, config.ath, config.eth),
-            tracker: Vec::with_capacity(config.tracker_entries()),
+            tracker: [EMPTY_ENTRY; MAX_TRACKED],
+            tracked: 0,
             max_idx: 0,
             cma: None,
-            shadows: Vec::with_capacity(config.shadow_slots as usize),
-            next_shadows: Vec::with_capacity(config.shadow_slots as usize),
+            shadows: [EMPTY_SHADOW; SHADOW_SLOTS],
             alert_pending: false,
             hazard_row: None,
             hazard_count: 0,
@@ -163,12 +184,12 @@ impl MoatEngine {
     /// entry), or `None` when the tracker is empty. `O(1)` — the maximum
     /// is maintained incrementally by the precharge hook.
     pub fn cta(&self) -> Option<TrackedEntry> {
-        self.tracker.get(self.max_idx).copied()
+        self.tracker().get(self.max_idx).copied()
     }
 
     /// All tracked entries (1 for L1, up to `L` for MOAT-L).
     pub fn tracker(&self) -> &[TrackedEntry] {
-        &self.tracker
+        &self.tracker[..self.tracked]
     }
 
     /// The CMA register: the row currently undergoing mitigation.
@@ -184,7 +205,21 @@ impl MoatEngine {
     /// must model to know exactly when its run trips the ALERT flag
     /// (`effective > ATH`).
     pub fn shadow_count(&self, row: RowId) -> Option<u32> {
-        self.shadows.iter().find(|s| s.row == row).map(|s| s.count)
+        self.shadow(row).map(|s| s.count)
+    }
+
+    /// The shadow counter held for `row`, if `row` is shadowed.
+    #[inline]
+    fn shadow(&self, row: RowId) -> Option<&ShadowCounter> {
+        self.shadows.iter().find(|s| s.row == row && row != NO_ROW)
+    }
+
+    /// Mutable [`shadow`](Self::shadow).
+    #[inline]
+    fn shadow_mut(&mut self, row: RowId) -> Option<&mut ShadowCounter> {
+        self.shadows
+            .iter_mut()
+            .find(|s| s.row == row && row != NO_ROW)
     }
 
     /// Engine statistics.
@@ -196,7 +231,7 @@ impl MoatEngine {
     /// updating the shadow if `row` is shadowed. Called on every precharge.
     #[inline]
     fn bump_effective(&mut self, row: RowId, in_array: ActCount) -> u32 {
-        if let Some(s) = self.shadows.iter_mut().find(|s| s.row == row) {
+        if let Some(s) = self.shadow_mut(row) {
             s.count = s.count.saturating_add(1);
             s.count
         } else {
@@ -213,7 +248,7 @@ impl MoatEngine {
         let mut max_idx = 0;
         let mut max_count = 0;
         let mut any_above = false;
-        for (i, e) in self.tracker.iter().enumerate() {
+        for (i, e) in self.tracker().iter().enumerate() {
             // `>=` resolves ties to the highest index, matching the
             // behaviour of `max_by_key` over the same vector.
             if e.count >= max_count {
@@ -243,12 +278,15 @@ impl MoatEngine {
         }
     }
 
-    /// Removes and returns the highest-count tracked entry.
+    /// Removes and returns the highest-count tracked entry: the last
+    /// live entry moves into its slot (a `swap_remove`), and the slot it
+    /// leaves is cleared.
     fn take_max(&mut self) -> Option<TrackedEntry> {
-        if self.tracker.is_empty() {
-            return None;
-        }
-        let entry = self.tracker.swap_remove(self.max_idx);
+        let last = self.tracked.checked_sub(1)?;
+        let entry = self.tracker[self.max_idx];
+        self.tracker[self.max_idx] = self.tracker[last];
+        self.tracker[last] = EMPTY_ENTRY;
+        self.tracked = last;
         // The removed count now stands on an untracked row (the CMA row
         // keeps absorbing ACTs until its mitigation completes — the very
         // window Jailbreak exploits), so the horizon must account for it.
@@ -290,10 +328,11 @@ impl MoatEngine {
     fn reguard(&mut self) {
         if let Some(g) = self.guard.as_mut() {
             g.slots.clear();
-            g.slots.extend(self.tracker.iter().map(|e| SlotShadow {
-                row: e.row,
-                parity: parity_of(e.count),
-            }));
+            g.slots
+                .extend(self.tracker[..self.tracked].iter().map(|e| SlotShadow {
+                    row: e.row,
+                    parity: parity_of(e.count),
+                }));
             g.alert = self.alert_pending;
         }
     }
@@ -309,27 +348,20 @@ impl MoatEngine {
             self.hazard_count = 0;
         }
     }
-}
 
-impl MitigationEngine for MoatEngine {
-    fn name(&self) -> &str {
-        &self.name
-    }
-
-    /// The per-ACT hot path: one fused scan over the (≤ L ≤ 4 entry)
-    /// tracker finds the row's entry *and* the minimum entry, applies the
+    /// Applies a precharge of a tracked row, or of an untracked one at or
+    /// above ETH: one fused scan over the (≤ L ≤ 4 entry) tracker finds
+    /// the row's entry *and* the minimum entry, applies the
     /// update/insert/replace, and maintains the CTA maximum and ALERT flag
     /// incrementally — where the original implementation rescanned the
     /// tracker separately for each of those.
-    #[inline]
-    fn on_precharge_update(&mut self, row: RowId, counter: ActCount) {
-        let effective = self.bump_effective(row, counter);
-
+    #[cold]
+    fn update_tracker(&mut self, row: RowId, effective: u32) {
         // Single pass: the row's entry if tracked, else the first minimum.
         let mut found = None;
         let mut min_idx = 0;
         let mut min_count = u32::MAX;
-        for (i, e) in self.tracker.iter().enumerate() {
+        for (i, e) in self.tracker().iter().enumerate() {
             if e.row == row {
                 found = Some(i);
                 break;
@@ -346,13 +378,14 @@ impl MitigationEngine for MoatEngine {
             let count = e.count;
             self.note_count(i, count);
         } else if effective >= self.config.eth {
-            if self.tracker.len() < self.config.tracker_entries() {
-                self.tracker.push(TrackedEntry {
+            if self.tracked < self.config.tracker_entries() {
+                self.tracker[self.tracked] = TrackedEntry {
                     row,
                     count: effective,
-                });
+                };
+                self.tracked += 1;
                 self.stats.insertions += 1;
-                self.note_count(self.tracker.len() - 1, effective);
+                self.note_count(self.tracked - 1, effective);
                 self.clear_hazard_if(row);
             } else if effective > min_count {
                 // Appendix D: replace the minimum-count entry if the
@@ -372,6 +405,24 @@ impl MitigationEngine for MoatEngine {
                 self.note_untracked(row, effective);
             }
         }
+    }
+}
+
+impl MitigationEngine for MoatEngine {
+    fn name(&self) -> &str {
+        &self.name
+    }
+
+    /// The per-ACT hot path. A row that is neither tracked nor at ETH
+    /// changes nothing but its shadow, so that precharge costs the two
+    /// shadow compares, one compare per tracker slot and the ETH compare;
+    /// every other one runs the fused tracker scan (`update_tracker`).
+    #[inline]
+    fn on_precharge_update(&mut self, row: RowId, counter: ActCount) {
+        let effective = self.bump_effective(row, counter);
+        if effective >= self.config.eth || self.tracker.iter().any(|e| e.row == row) {
+            self.update_tracker(row, effective);
+        }
         self.reguard();
     }
 
@@ -387,7 +438,7 @@ impl MitigationEngine for MoatEngine {
         if self.alert_pending {
             return 0;
         }
-        let tracked = self.tracker.get(self.max_idx).map_or(0, |e| e.count);
+        let tracked = self.tracker().get(self.max_idx).map_or(0, |e| e.count);
         let standing = tracked.max(self.hazard_count).max(self.hazard_base);
         u64::from((self.config.ath + 1).saturating_sub(standing)).max(1)
     }
@@ -414,7 +465,7 @@ impl MitigationEngine for MoatEngine {
             self.cma = None;
         }
         // The aggressor's counter was reset; reset its shadow too.
-        if let Some(s) = self.shadows.iter_mut().find(|s| s.row == row) {
+        if let Some(s) = self.shadow_mut(row) {
             s.count = 0;
         }
         // Counter and shadow are back to zero (MOAT spends a slot on the
@@ -437,19 +488,14 @@ impl MitigationEngine for MoatEngine {
                 // freshly refreshed group (their victims in the *next* group
                 // are not yet refreshed). Pre-reset counts are preserved,
                 // shadow-aware in case a trailing row was already shadowed.
-                let slots = self.config.shadow_slots.min(rows.len() as u32);
-                self.next_shadows.clear();
-                for i in 0..slots {
-                    let row = RowId::new(rows.end - 1 - i);
+                let mut next = [EMPTY_SHADOW; SHADOW_SLOTS];
+                for (slot, row) in next.iter_mut().zip(rows.rev()) {
+                    let row = RowId::new(row);
                     let in_array = counter_of(row);
-                    let count = self
-                        .shadows
-                        .iter()
-                        .find(|s| s.row == row)
-                        .map_or(in_array.get(), |s| s.count);
-                    self.next_shadows.push(ShadowCounter { row, count });
+                    let count = self.shadow(row).map_or(in_array.get(), |s| s.count);
+                    *slot = ShadowCounter { row, count };
                 }
-                core::mem::swap(&mut self.shadows, &mut self.next_shadows);
+                self.shadows = next;
             }
         }
     }
@@ -465,13 +511,11 @@ impl MitigationEngine for MoatEngine {
     fn sram_bytes_per_bank(&self) -> usize {
         // §6.5 / Appendix D: L tracker entries of 3 bytes (address +
         // counter), CMA of 2 bytes, and two shadow counters of 1 byte each.
-        self.config.tracker_entries() * 3 + 2 + self.config.shadow_slots as usize
+        self.config.tracker_entries() * 3 + 2 + SHADOW_SLOTS
     }
 
     fn effective_counter(&self, row: RowId, in_array: ActCount) -> ActCount {
-        self.shadows
-            .iter()
-            .find(|s| s.row == row)
+        self.shadow(row)
             .map_or(in_array, |s| ActCount::new(s.count))
     }
 
@@ -485,10 +529,10 @@ impl MitigationEngine for MoatEngine {
     fn apply_fault(&mut self, fault: &EngineFault) -> bool {
         match *fault {
             EngineFault::FlipCounterBit { slot, bit } => {
-                if self.tracker.is_empty() {
+                if self.tracked == 0 {
                     return false;
                 }
-                let slot = slot % self.tracker.len();
+                let slot = slot % self.tracked;
                 self.tracker[slot].count ^= 1 << (bit % u32::BITS);
                 self.resync();
                 true
@@ -499,10 +543,10 @@ impl MitigationEngine for MoatEngine {
                 was
             }
             EngineFault::StuckEntry { slot } => {
-                if self.tracker.is_empty() {
+                if self.tracked == 0 {
                     return false;
                 }
-                let slot = slot % self.tracker.len();
+                let slot = slot % self.tracked;
                 let changed = self.tracker[slot].count != 0;
                 self.tracker[slot].count = 0;
                 self.resync();
@@ -530,7 +574,7 @@ impl MitigationEngine for MoatEngine {
             return IntegrityReport::unguarded();
         };
         let mut report = IntegrityReport::clean();
-        for (e, s) in self.tracker.iter().zip(guard.slots.iter()) {
+        for (e, s) in self.tracker().iter().zip(guard.slots.iter()) {
             if e.row != s.row || parity_of(e.count) != s.parity {
                 report.detected += 1;
                 report.untrusted.push(e.row);
@@ -559,7 +603,7 @@ impl MitigationEngine for MoatEngine {
             return 0;
         }
         let mut corrected = 0;
-        for i in 0..self.tracker.len() {
+        for i in 0..self.tracked {
             let row = self.tracker[i].row;
             let truth = self.effective_counter(row, counter_of(row)).get();
             if self.tracker[i].count != truth {

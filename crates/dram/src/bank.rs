@@ -35,8 +35,6 @@ pub struct Bank {
     counters: Vec<u32>,
     /// Earliest time the next ACT may issue.
     next_ready: Nanos,
-    /// Total activations performed on this bank.
-    total_acts: u64,
 }
 
 impl Bank {
@@ -46,7 +44,6 @@ impl Bank {
             config: *config,
             counters: vec![0; config.rows_per_bank as usize],
             next_ready: Nanos::ZERO,
-            total_acts: 0,
         }
     }
 
@@ -78,7 +75,6 @@ impl Bank {
             });
         }
         self.next_ready = now + self.config.timing.t_rc;
-        self.total_acts += 1;
         let c = &mut self.counters[row.as_usize()];
         *c = c.saturating_add(1);
         Ok(ActCount::new(*c))
@@ -145,11 +141,6 @@ impl Bank {
         self.counters[rows.start as usize..rows.end as usize].fill(0);
     }
 
-    /// Total number of activations performed on this bank.
-    pub fn total_acts(&self) -> u64 {
-        self.total_acts
-    }
-
     /// Number of rows in the bank.
     pub fn rows(&self) -> u32 {
         self.config.rows_per_bank
@@ -185,7 +176,6 @@ mod tests {
             now += b.config().timing.t_rc;
         }
         assert_eq!(b.counter(RowId::new(7)).get(), 5);
-        assert_eq!(b.total_acts(), 5);
     }
 
     #[test]

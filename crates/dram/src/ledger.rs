@@ -95,11 +95,56 @@ impl SecurityLedger {
     /// absorbs one unit of pressure, and the row's own epoch advances.
     ///
     /// This is the single hottest ledger operation (once per simulated
-    /// ACT), so the blast radius is walked as two dense index ranges —
-    /// below and above the aggressor — with the running maximum folded
-    /// into the same pass instead of a filtered victim iterator.
+    /// ACT). An interior row at blast radius 2 updates one fixed
+    /// five-cell window and compares its peak victim pressure with the
+    /// all-time maximum once; rows within the radius of a bank edge, and
+    /// any other radius, walk the victims one by one.
     #[inline]
     pub fn on_activate(&mut self, row: RowId) {
+        let center = row.as_usize();
+        let window = match center.checked_sub(2) {
+            Some(lo) if self.blast_radius == 2 => self.cells.get_mut(lo..center + 3),
+            _ => None,
+        };
+        let Some([a, b, c, d, e]) = window else {
+            return self.on_activate_victim_loop(row);
+        };
+        a.pressure += 1;
+        b.pressure += 1;
+        d.pressure += 1;
+        e.pressure += 1;
+        c.epoch += 1;
+        if c.epoch > self.max_epoch {
+            self.max_epoch = c.epoch;
+        }
+        let peak = a.pressure.max(b.pressure).max(d.pressure).max(e.pressure);
+        if peak > self.max_ever {
+            self.record_peak(center, peak);
+        }
+    }
+
+    /// Records `peak`, a victim pressure of an activation of row `center`
+    /// above every earlier one. The row of record is the first victim in
+    /// row order holding it: the one a running maximum with a strict `>`
+    /// over ascending victims keeps.
+    #[cold]
+    #[inline(never)]
+    fn record_peak(&mut self, center: usize, peak: u32) {
+        let row = [center - 2, center - 1, center + 1, center + 2]
+            .into_iter()
+            .find(|&v| self.cells[v].pressure == peak)
+            .expect("the peak is a victim's pressure");
+        self.max_ever = peak;
+        self.max_row = RowId::new(row as u32);
+    }
+
+    /// [`on_activate`](Self::on_activate) for a row within the blast
+    /// radius of a bank edge, or at a radius other than 2: the victims are
+    /// walked as two dense index ranges, below and above the aggressor,
+    /// with the running maximum folded into the same pass.
+    #[cold]
+    #[inline(never)]
+    fn on_activate_victim_loop(&mut self, row: RowId) {
         let center = row.index();
         let lo = center.saturating_sub(self.blast_radius) as usize;
         let hi = (center + self.blast_radius).min(self.rows_per_bank - 1) as usize;

@@ -11,7 +11,8 @@ fn small_config() -> DramConfig {
 
 proptest! {
     /// The PRAC counter of every row always equals the exact number of
-    /// activations performed on it (idealized tracking, §2.4).
+    /// activations performed on it (idealized tracking, §2.4), so with no
+    /// reset the counters sum to the activations performed.
     #[test]
     fn prac_counter_matches_ground_truth(rows in prop::collection::vec(0u32..256, 1..500)) {
         let cfg = small_config();
@@ -26,7 +27,8 @@ proptest! {
         for r in 0..256u32 {
             prop_assert_eq!(bank.counter(RowId::new(r)).get(), truth[r as usize]);
         }
-        prop_assert_eq!(bank.total_acts(), rows.len() as u64);
+        let sum: u64 = (0..256u32).map(|r| u64::from(bank.counter(RowId::new(r)).get())).sum();
+        prop_assert_eq!(sum, rows.len() as u64);
     }
 
     /// Two activations can never be closer than tRC.
@@ -84,7 +86,9 @@ proptest! {
     /// `on_refresh_rows(group)` zeroes the group's pressure and the epoch
     /// of every row whose upper victims the group covers (`row +
     /// blast_radius` refreshed); `on_victim_refresh(row)` zeroes the
-    /// row's victims' pressure and its own epoch.
+    /// row's victims' pressure and its own epoch. The row of record for
+    /// the all-time peak is the first victim, in ascending order, to
+    /// exceed the running maximum. The 256 rows reach both bank edges.
     #[test]
     fn ledger_refresh_resets_match_naive_model(
         ops in prop::collection::vec((0u8..4, 0u32..256), 1..400)
@@ -94,7 +98,7 @@ proptest! {
         let mut ledger = SecurityLedger::new(&cfg);
         let mut pressure = vec![0u32; 256];
         let mut epoch = vec![0u32; 256];
-        let (mut max_pressure, mut max_epoch) = (0u32, 0u32);
+        let (mut max_pressure, mut max_row, mut max_epoch) = (0u32, 0u32, 0u32);
         let victims = |row: u32| {
             (row.saturating_sub(radius)..=(row + radius).min(255)).filter(move |&v| v != row)
         };
@@ -104,7 +108,10 @@ proptest! {
                     ledger.on_activate(RowId::new(row));
                     for v in victims(row) {
                         pressure[v as usize] += 1;
-                        max_pressure = max_pressure.max(pressure[v as usize]);
+                        if pressure[v as usize] > max_pressure {
+                            max_pressure = pressure[v as usize];
+                            max_row = v;
+                        }
                     }
                     epoch[row as usize] += 1;
                     max_epoch = max_epoch.max(epoch[row as usize]);
@@ -140,6 +147,7 @@ proptest! {
             pressure.iter().copied().max().unwrap()
         );
         prop_assert_eq!(ledger.max_pressure_ever(), max_pressure);
+        prop_assert_eq!(ledger.max_pressure_row(), RowId::new(max_row));
         prop_assert_eq!(ledger.max_epoch_ever(), max_epoch);
     }
 

@@ -592,9 +592,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
                         } else if n == 1 {
                             // A one-ACT run (a script under a one-slot
                             // engine horizon) skips the prefetching pass.
-                            self.unit
-                                .activate(run[0], self.now)
-                                .expect("event-free run respects bank timing");
+                            self.unit.activate_in_run(run[0], self.now);
                             self.sub.on_acts(1);
                             self.now += t_rc;
                         } else {
@@ -700,9 +698,7 @@ impl<E: MitigationEngine> SecuritySim<E> {
         // the flag may flip mid-run legitimately, so nothing to check.
         let mut reported = promised == u64::MAX;
         for (i, &row) in run.iter().enumerate() {
-            self.unit
-                .activate(row, self.now)
-                .expect("event-free run respects bank timing");
+            self.unit.activate_in_run(row, self.now);
             self.sub.on_acts(1);
             self.now += t_rc;
             let done = (i + 1) as u64;
@@ -1029,14 +1025,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "RowOutOfRange")]
+    #[should_panic(expected = "attacker row within the bank")]
     fn per_step_row_outside_the_bank_panics() {
         let rows = SecurityConfig::paper_default().dram.rows_per_bank;
         moat_sim().run(&mut hammer_attacker(rows + 5), Nanos::from_micros(10));
     }
 
     #[test]
-    #[should_panic(expected = "RowOutOfRange")]
+    #[should_panic(expected = "attacker row within the bank")]
     fn semi_scripted_row_outside_the_bank_panics() {
         let rows = SecurityConfig::paper_default().dram.rows_per_bank;
         moat_sim().run_semi_scripted(&mut hammer_attacker(rows + 5), Nanos::from_micros(10));

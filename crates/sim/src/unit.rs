@@ -11,9 +11,11 @@ use moat_dram::{
 use crate::budget::SlotBudget;
 
 /// How many requests ahead of the issue point the batched loops start
-/// loading counter/ledger state. At ~4 cache lines per request this keeps
-/// well under the outstanding-miss budget of current cores while covering
-/// several hundred nanoseconds of issue work. Shared by the performance
+/// loading counter/ledger state. A request touches its PRAC counter's
+/// cache line and the one or two lines its ledger window spans (five
+/// 8-byte cells at blast radius 2), so this keeps well under the
+/// outstanding-miss budget of current cores while covering several
+/// hundred nanoseconds of issue work. Shared by the performance
 /// simulator's chunked issue loop and [`BankUnit::activate_run`].
 pub(crate) const PREFETCH_DISTANCE: usize = 12;
 
@@ -212,8 +214,9 @@ impl<E: MitigationEngine> BankUnit<E> {
     ///
     /// # Panics
     ///
-    /// Panics if a row is outside the bank or the bank is not ready at
-    /// `start` (the caller's horizon contract was violated).
+    /// Panics with `attacker row within the bank` if a row is outside the
+    /// bank, and with `event-free run respects bank timing` if the bank is
+    /// not ready at `start` (the caller's horizon contract was violated).
     pub fn activate_run(&mut self, rows: &[RowId], start: Nanos, t_rc: Nanos) {
         let mut last_hint: Option<RowId> = None;
         let mut t = start;
@@ -226,9 +229,28 @@ impl<E: MitigationEngine> BankUnit<E> {
                 }
                 last_hint = Some(ahead);
             }
-            self.activate(row, t)
-                .expect("event-free run respects bank timing");
+            self.activate_in_run(row, t);
             t += t_rc;
+        }
+    }
+
+    /// [`activate`](Self::activate) for one ACT of an event-free run,
+    /// whose caller has established that the bank is ready at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `attacker row within the bank` if `row` is outside the
+    /// bank (the attacker's error), and with `event-free run respects bank
+    /// timing` if the bank is not ready at `now` (the caller's horizon
+    /// contract was violated).
+    #[inline]
+    pub(crate) fn activate_in_run(&mut self, row: RowId, now: Nanos) {
+        match self.activate(row, now) {
+            Ok(_) => {}
+            Err(e @ DramError::RowOutOfRange { .. }) => {
+                panic!("attacker row within the bank: {e:?}")
+            }
+            Err(e) => panic!("event-free run respects bank timing: {e:?}"),
         }
     }
 
